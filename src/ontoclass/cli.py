@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OntoclassError, OSError) as exc:
+    except (OntoclassError, OSError, UnicodeDecodeError) as exc:
         print(f"error [{args.command}] {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1

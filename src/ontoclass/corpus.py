@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import OntoclassError, ParseError
 
@@ -222,8 +223,20 @@ def parse_ohsumed(stream: IO[str] | Iterable[str]) -> Corpus:
     return Corpus(documents=tuple(documents), dropped=tuple(dropped))
 
 
+@contextmanager
+def _open_utf8(path: str | Path) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file; a byte that does not decode becomes a
+    ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.start + 1]
+        raise ParseError(f"{path}: not UTF-8 (byte 0x{bad.hex()})") from None
+
+
 def load_ohsumed(path: str | Path) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         return parse_ohsumed(fh)
 
 
@@ -244,7 +257,8 @@ def parse_textdir(root: str | Path) -> Corpus:
     for path in sorted(root.rglob("*.txt")):
         rel = path.relative_to(root)
         doc_id = str(rel.with_suffix("")).replace("\\", "/")
-        text = path.read_text(encoding="utf-8")
+        with _open_utf8(path) as fh:
+            text = fh.read()
         title, _, abstract = text.partition("\n")
         title = title.strip()
         abstract = abstract.strip()
@@ -271,7 +285,7 @@ def parse_textdir(root: str | Path) -> Corpus:
 def load_label_map(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read a ``doc_id<TAB>category[;category...]`` file."""
     label_map: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -386,7 +400,7 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
     documents: list[Document] = []
     categories: tuple[str, ...] = ()
     dropped: tuple[str, ...] = ()
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -394,10 +408,17 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad JSON: {exc}", lineno) from None
+            if not isinstance(rec, dict):
+                raise ParseError("record is not a JSON object", lineno)
             if "_meta" in rec:
-                categories = tuple(rec["_meta"].get("categories", ()))
-                dropped = tuple(rec["_meta"].get("dropped", ()))
+                meta = rec["_meta"]
+                if not isinstance(meta, dict):
+                    raise ParseError("_meta is not a JSON object", lineno)
+                categories = tuple(meta.get("categories", ()))
+                dropped = tuple(meta.get("dropped", ()))
                 continue
+            if "doc_id" not in rec:
+                raise ParseError("record has no doc_id", lineno)
             documents.append(
                 Document(
                     doc_id=rec["doc_id"],

@@ -198,7 +198,8 @@ def select_top_k(
     Association is document presence against category membership. Only
     descriptors with positive scores can be selected, so a category with
     fewer than K positively scoring descriptors contributes all of them.
-    Ties break toward the lexicographically smaller descriptor.
+    Ties break toward the lexicographically smaller descriptor. Chi-square
+    is computed once per distinct contingency table, not once per pair.
     """
     if k < 1:
         raise OntoclassError(f"k must be >= 1, got {k}")
@@ -208,42 +209,72 @@ def select_top_k(
     if len(cats) < 2:
         raise OntoclassError("feature selection needs at least 2 categories")
 
-    n_docs = len(vectors)
-    cat_sizes: dict[str, int] = {c: 0 for c in cats}
-    presence: dict[str, dict[str, int]] = {}
+    # One walk: each document's category row and the descriptors it holds,
+    # numbered in first-seen order (the order of `per_category_scores`).
+    row_of: dict[str, int] = {}
+    for cat in cats:
+        row_of.setdefault(cat, len(row_of))
+    seen: dict[str, int] = {}
+    doc_rows: list[int] = []
+    pair_rows: list[int] = []
+    pair_seen: list[int] = []
     for v in vectors:
         if recorder is not None:
             recorder(v.doc_id)
         cat = _label_of(v, labels)
-        if cat not in cat_sizes:
+        row = row_of.get(cat)
+        if row is None:
             raise OntoclassError(f"label {cat!r} outside the category list")
-        cat_sizes[cat] += 1
-        for desc in descriptor_counts(v):
-            slot = presence.setdefault(desc, {c: 0 for c in cats})
-            slot[cat] += 1
+        doc_rows.append(row)
+        descs = descriptor_counts(v)
+        pair_rows.extend([row] * len(descs))
+        pair_seen.extend(seen.setdefault(d, len(seen)) for d in descs)
+
+    # Columns follow sorted() string order, so a score tie goes to the
+    # lower column, i.e. the lexicographically smaller descriptor.
+    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(seen)
+    seen_order = list(seen)
+    by_string = sorted(range(n_desc), key=seen_order.__getitem__)
+    vocab = [seen_order[i] for i in by_string]
+    column_of_seen = np.empty(n_desc, dtype=np.int64)
+    column_of_seen[by_string] = np.arange(n_desc)
+    n11_grid = np.bincount(
+        np.asarray(pair_rows, dtype=np.int64) * n_desc
+        + column_of_seen[np.asarray(pair_seen, dtype=np.int64)],
+        minlength=n_rows * n_desc,
+    ).reshape(n_rows, n_desc)
+    doc_freq = n11_grid.sum(axis=0)
+    sizes = np.bincount(np.asarray(doc_rows, dtype=np.int64), minlength=n_rows)
 
     scores: dict[tuple[str, str], float] = {}
     selected: dict[str, tuple[str, ...]] = {}
     union: list[str] = []
     in_union: set[str] = set()
     for cat in cats:
-        size = cat_sizes[cat]
-        ranked: list[tuple[float, str]] = []
-        for desc, by_cat in presence.items():
-            with_desc = sum(by_cat.values())
-            n11 = by_cat[cat]
-            table = ContingencyTable(
+        row = row_of[cat]
+        size = int(sizes[row])
+        # A score depends only on (size, n11, doc_freq, n_docs): score each
+        # distinct table once, on Python ints, so every value is exact.
+        tables, inverse = np.unique(
+            n11_grid[row] * (n_docs + 1) + doc_freq, return_inverse=True
+        )
+        distinct = [
+            chi_square(ContingencyTable(
                 n11=n11,
                 n10=size - n11,
-                n01=with_desc - n11,
-                n00=n_docs - size - (with_desc - n11),
-            )
-            score = chi_square(table)
-            scores[(cat, desc)] = score
-            if score > 0:
-                ranked.append((score, desc))
-        ranked.sort(key=lambda pair: (-pair[0], pair[1]))
-        chosen = tuple(desc for _, desc in ranked[:k])
+                n01=freq - n11,
+                n00=n_docs - size - (freq - n11),
+            ))
+            for n11, freq in (divmod(t, n_docs + 1) for t in tables.tolist())
+        ]
+        row_scores = np.asarray(distinct, dtype=np.float64)[inverse]
+        scores.update(zip(
+            [(cat, desc) for desc in seen_order],
+            row_scores[column_of_seen].tolist(),
+        ))
+        positive = np.flatnonzero(row_scores > 0)
+        order = np.lexsort((positive, -row_scores[positive]))
+        chosen = tuple(vocab[c] for c in positive[order[:k]].tolist())
         selected[cat] = chosen
         for desc in chosen:
             if desc not in in_union:

@@ -164,6 +164,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [ingest] ParseError:")
 
+    def test_non_utf8_corpus_exits_1_naming_file(self, workspace, capsys):
+        text = ohsumed_text(DOCS).replace("kardol onset", "Caf\xe9 onset")
+        (workspace / "corpus.txt").write_bytes(text.encode("latin-1"))
+        assert run(workspace, "ingest") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ingest] ParseError:")
+        assert "corpus.txt: not UTF-8 (byte 0xe9)" in err
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_ontology_exits_1_without_traceback(self, workspace, capsys):
+        latin1 = ONTO_TSV.encode("utf-8") + b"D400\tCaf\xe9\tC02\t\n"
+        (workspace / "onto.tsv").write_bytes(latin1)
+        assert run(workspace, "ontology-check") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ontology-check] UnicodeDecodeError:")
+        assert len(err.splitlines()) == 1
+
     def test_env_var_supplies_config(self, workspace, monkeypatch, capsys):
         monkeypatch.setenv(CONFIG_ENV, str(workspace / "exp.ini"))
         assert main(["ontology-check"]) == 0

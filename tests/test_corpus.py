@@ -10,6 +10,7 @@ from ontoclass.corpus import (
     assign_labels,
     load_corpus_jsonl,
     load_label_map,
+    load_ohsumed,
     parse_ohsumed,
     parse_textdir,
     save_corpus_jsonl,
@@ -238,3 +239,31 @@ def test_jsonl_round_trip(tmp_path):
     save_corpus_jsonl(corpus, path)
     loaded = load_corpus_jsonl(path)
     assert loaded == corpus
+
+
+class TestJsonlMalformed:
+    def test_record_without_doc_id(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"doc_id": "1"}\n{"title": "x"}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: record has no doc_id"):
+            load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize("line", ['["doc_id"]', '"text"', "7", "null"])
+    def test_record_not_an_object(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: record is not a JSON object"):
+            load_corpus_jsonl(path)
+
+    def test_meta_not_an_object(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"_meta": ["A"]}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: _meta is not a JSON object"):
+            load_corpus_jsonl(path)
+
+
+def test_non_utf8_corpus_names_the_file(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b".I 1\n.U\nd1\n.T\nCaf\xe9\n")
+    with pytest.raises(ParseError, match=r"corpus\.txt: not UTF-8 \(byte 0xe9\)"):
+        load_ohsumed(path)

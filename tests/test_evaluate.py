@@ -1,9 +1,11 @@
+import hashlib
 import logging
 import random
 from collections import Counter
 
 import pytest
 
+import synthcorpus
 from ontoclass.config import ExperimentConfig
 from ontoclass.corpus import Corpus, Document
 from ontoclass.errors import ExperimentError, OntoclassError, ParseError
@@ -19,6 +21,8 @@ from ontoclass.evaluate import (
     run_experiment,
     write_report,
 )
+from ontoclass.ontology import build_ontology
+from ontoclass.preprocess import load_stoplist
 
 
 class TestMakeFolds:
@@ -244,3 +248,26 @@ class TestReportRendering:
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_report_csv(path)
+
+
+class TestReportBytesPinned:
+    """report.csv must not change by a byte for a fixed config. The
+    digests were taken from the per-pair chi-square selection loop."""
+
+    @pytest.mark.parametrize("classifier, representation, digest", [
+        ("knn", "concepts_hyperonyms",
+         "fa6bacfbc64acbbfd05feb3bd884047781845564660ee30cdb60eccdad3fcf49"),
+        ("c45", "stems",
+         "0911c616191b5282ae5c8ed1a2f5266952e7923886de33e23b792890b3fa5ada"),
+    ])
+    def test_report_digest(self, classifier, representation, digest):
+        fx = synthcorpus.sibling_merge_fixture(seed=3)
+        onto = None
+        if representation != "stems":
+            onto = build_ontology(list(fx.ontology_rows), stopwords=load_stoplist())
+        config = ExperimentConfig(
+            classifier=classifier, representation=representation,
+            knn_k=5, n_folds=4, seed=7, k_features=6,
+        )
+        csv = report_to_csv(run_experiment(fx.corpus, onto, config))
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest

@@ -1,9 +1,12 @@
 import logging
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ontoclass.errors import OntoclassError
 from ontoclass.features import (
@@ -277,6 +280,114 @@ class TestSelectTopK:
         seen = []
         select_top_k(marker_fixture(), k=1, recorder=seen.append)
         assert len(seen) == 12
+
+
+def select_top_k_reference(vectors, k, categories=None):
+    """The per-pair loop: one ContingencyTable for every category x
+    descriptor, ranked by (-score, descriptor)."""
+    cats = tuple(categories) if categories is not None else tuple(
+        dict.fromkeys(v.labels[0] for v in vectors)
+    )
+    cat_sizes = {c: 0 for c in cats}
+    presence = {}
+    for v in vectors:
+        cat_sizes[v.labels[0]] += 1
+        for desc in descriptor_counts(v):
+            presence.setdefault(desc, {c: 0 for c in cats})[v.labels[0]] += 1
+    scores, selected, union = {}, {}, []
+    for cat in cats:
+        size = cat_sizes[cat]
+        ranked = []
+        for desc, by_cat in presence.items():
+            with_desc = sum(by_cat.values())
+            n11 = by_cat[cat]
+            score = chi_square(ContingencyTable(
+                n11, size - n11, with_desc - n11,
+                len(vectors) - size - (with_desc - n11),
+            ))
+            scores[(cat, desc)] = score
+            if score > 0:
+                ranked.append((score, desc))
+        ranked.sort(key=lambda pair: (-pair[0], pair[1]))
+        selected[cat] = tuple(desc for _, desc in ranked[:k])
+        union += [d for d in selected[cat] if d not in union]
+    return scores, selected, tuple(union)
+
+
+def hex_items(scores):
+    return [(key, value.hex()) for key, value in scores.items()]
+
+
+# A small pool, so many descriptors share a contingency table and tie.
+_POOL = ("a", "aa", "ab", "b", "ba", "c")
+_docs = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(_POOL), st.integers(1, 3), max_size=4),
+        st.dictionaries(st.sampled_from(("D1", "D2")), st.integers(1, 2),
+                        max_size=2),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestSelectTopKEquivalence:
+    @given(docs=_docs, k=st.integers(1, len(_POOL) + 3),
+           explicit=st.booleans())
+    def test_matches_per_pair_reference(self, docs, k, explicit):
+        vecs = [
+            hv(f"d{i}", terms, concepts, label="WXYZ"[cat])
+            for i, (cat, terms, concepts) in enumerate(docs)
+        ]
+        categories = ("Z", "X", "W", "Y") if explicit else None
+        if not explicit:
+            assume(len({cat for cat, _, _ in docs}) >= 2)
+        space = select_top_k(vecs, k=k, categories=categories)
+        scores, selected, union = select_top_k_reference(vecs, k, categories)
+        assert hex_items(space.per_category_scores) == hex_items(scores)
+        assert space.selected == selected
+        assert space.descriptors == union
+
+    def test_large_n_scores_are_correctly_rounded(self):
+        # 6,000 documents: N * (ad - bc)^2 passes 2^53, where a float64
+        # formula rounds twice and misses the correctly rounded quotient.
+        rng = random.Random(5)
+        sizes = {"X": 3105, "Y": 2895}
+        n = sum(sizes.values())
+        tables = {}
+        terms = {cat: [{} for _ in range(size)] for cat, size in sizes.items()}
+        for j in range(48):
+            # strong associations, alternately with X and with Y
+            if j % 2:
+                n11, n01 = rng.randint(1500, 3000), rng.randint(100, 1200)
+            else:
+                n11, n01 = rng.randint(100, 1200), rng.randint(1500, 2800)
+            tables[f"t:w{j:02d}"] = (n11, n11 + n01)
+            for cat, count in (("X", n11), ("Y", n01)):
+                for i in rng.sample(range(sizes[cat]), count):
+                    terms[cat][i][f"w{j:02d}"] = 1
+        vecs = [
+            hv(f"{cat}{i}", t, label=cat)
+            for cat, docs in terms.items() for i, t in enumerate(docs)
+        ]
+        space = select_top_k(vecs, k=7)
+
+        float_differs = 0
+        for (cat, desc), score in space.per_category_scores.items():
+            n11, freq = tables[desc]
+            a = n11 if cat == "X" else freq - n11
+            b, c = sizes[cat] - a, freq - a
+            d = n - a - b - c
+            num = n * (a * d - b * c) ** 2
+            den = (a + b) * (c + d) * (a + c) * (b + d)
+            assert score.hex() == float(Fraction(num, den)).hex()
+            float_differs += float(n) * float(a * d - b * c) ** 2 / den != score
+        assert float_differs > 0
+        scores, selected, union = select_top_k_reference(vecs, 7)
+        assert hex_items(space.per_category_scores) == hex_items(scores)
+        assert space.selected == selected
+        assert space.descriptors == union
 
 
 def small_matrix_fixture():
