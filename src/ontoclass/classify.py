@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 SIMILARITIES = ("cosine", "euclidean")
 DEFAULT_KNN_K = 5
 PRUNE_CONFIDENCE = 0.25
+#: cells of a (candidates x classes) array in one block of the split search
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -194,71 +196,136 @@ class TreeNode:
         return 1 + self.left.node_count() + self.right.node_count()
 
 
+def _row_nonzeros(
+    x: sparse.csr_matrix, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in x.data of the stored entries of `rows`, and the index
+    into `rows` of the row each entry belongs to."""
+    starts = x.indptr[rows]
+    lens = x.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lens)
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return pos, owner
+
+
+def _router(x: sparse.csc_matrix) -> Callable[[np.ndarray, int, float], np.ndarray]:
+    """goes_left(rows, col, thr): which of `rows` have x[row, col] <= thr.
+    `x` holds no duplicate entries; each call reads only column `col`."""
+    column = np.zeros(x.shape[0])
+
+    def goes_left(rows: np.ndarray, col: int, thr: float) -> np.ndarray:
+        nz = slice(x.indptr[col], x.indptr[col + 1])
+        column[x.indices[nz]] = x.data[nz]
+        left = column[rows] <= thr
+        column[x.indices[nz]] = 0.0
+        return left
+
+    return goes_left
+
+
+def _entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a C-contiguous (candidates x classes)
+    count array. Summing along the rows fixes the order of the additions."""
+    p = counts / totals[:, None]
+    terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=1)
+
+
+def _score_cuts(
+    group: np.ndarray, labels: np.ndarray, g_col: np.ndarray, g_val: np.ndarray,
+    parent: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, ...]:
+    """(column, threshold, gain, ratio) of the admissible cuts of whole
+    columns. Groups are the distinct nonzero (column, value) pairs in
+    (column, value) order; entry i has class labels[i] and is in group
+    group[i]. Each group yields the cut just below it, whose left side
+    holds the column's zeros and smaller nonzeros: the parent minus the
+    rows valued at or above the group's value."""
+    n_groups, n_classes = g_col.size, parent.size
+    n = int(parent.sum())
+    g_counts = np.bincount(
+        group * n_classes + labels, minlength=n_groups * n_classes
+    ).reshape(n_groups, n_classes)
+    first = np.r_[True, g_col[1:] != g_col[:-1]]
+    # one past the last group of each group's column
+    col_stops = np.r_[np.flatnonzero(first)[1:], n_groups][np.cumsum(first) - 1]
+    cum = np.vstack(
+        [np.zeros((1, n_classes), dtype=np.int64), np.cumsum(g_counts, axis=0)]
+    )
+    left = parent[None, :] - (cum[col_stops] - cum[:-1])
+    left_n = left.sum(axis=1)
+    below = np.where(first, 0.0, np.r_[0.0, g_val[:-1]])
+    keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+
+    parent_counts = parent.astype(np.float64)
+    left_counts = left[keep].astype(np.float64)
+    left_n = left_n[keep].astype(np.float64)
+    right_n = n - left_n
+    right_counts = parent_counts[None, :] - left_counts
+    gain = _entropy(parent_counts) - (
+        left_n * _entropies(left_counts, left_n)
+        + right_n * _entropies(right_counts, right_n)
+    ) / n
+    pl = left_n / n
+    split_info = -(pl * np.log2(pl) + (1 - pl) * np.log2(1 - pl))
+    ratio = np.where(split_info > 0, gain / split_info, 0.0)
+    return g_col[keep], (below[keep] + g_val[keep]) / 2.0, gain, ratio
+
+
 def _best_split(
-    x: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int
+    x: sparse.csr_matrix, y: np.ndarray, rows: np.ndarray, n_classes: int,
+    min_leaf: int,
 ) -> tuple[int, float] | None:
     """Spec: pick the (column, threshold) with the best gain ratio among
     splits whose information gain reaches the mean gain of all admissible
     candidates. Ties fall to the lowest column, then lowest threshold.
+
+    Only the nonzeros of `rows` are sorted. Weights are never negative, so
+    a column's zeros form one group that sorts first: the cut after it
+    sits at half the column's smallest nonzero, and the other cuts sit
+    between adjacent distinct nonzeros.
     """
-    n = x.shape[0]
-    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    parent_h = _entropy(parent_counts)
-    if parent_h == 0.0 or n < 2 * min_leaf:
+    n = rows.size
+    labels = y[rows]
+    parent = np.bincount(labels, minlength=n_classes)
+    if _entropy(parent.astype(np.float64)) == 0.0 or n < 2 * min_leaf:
         return None
 
-    cand_gain: list[np.ndarray] = []
-    cand_ratio: list[np.ndarray] = []
-    cand_col: list[np.ndarray] = []
-    cand_thr: list[np.ndarray] = []
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-    for col in range(x.shape[1]):
-        vals = x[:, col]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cum = np.cumsum(onehot[order], axis=0)
-        cut = np.nonzero(sv[:-1] != sv[1:])[0]  # left side = first cut+1 rows
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        cut = cut[keep]
-        if cut.size == 0:
-            continue
-        left_n = left_n[keep].astype(np.float64)
-        right_n = n - left_n
-        left_counts = cum[cut]
-        right_counts = parent_counts[None, :] - left_counts
-
-        def h(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-            p = counts / totals[:, None]
-            terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-            return -terms.sum(axis=1)
-
-        gain = parent_h - (left_n * h(left_counts, left_n)
-                           + right_n * h(right_counts, right_n)) / n
-        pl = left_n / n
-        split_info = -(pl * np.log2(pl) + (1 - pl) * np.log2(1 - pl))
-        ratio = np.where(split_info > 0, gain / split_info, 0.0)
-        cand_gain.append(gain)
-        cand_ratio.append(ratio)
-        cand_col.append(np.full(cut.size, col))
-        cand_thr.append((sv[cut] + sv[cut + 1]) / 2.0)
-
-    if not cand_gain:
+    pos, owner = _row_nonzeros(x, rows)
+    if pos.size == 0:
         return None
-    gain = np.concatenate(cand_gain)
-    ratio = np.concatenate(cand_ratio)
-    cols = np.concatenate(cand_col)
-    thrs = np.concatenate(cand_thr)
+    cols, vals = x.indices[pos], x.data[pos]
+    order = np.lexsort((vals, cols))
+    cols, vals, labels = cols[order], vals[order], labels[owner[order]]
+    # one group per distinct (column, value), in (column, value) order
+    opens = np.r_[True, (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])]
+    group = np.cumsum(opens) - 1
+    g_entry = np.r_[np.flatnonzero(opens), cols.size]
+    g_col, g_val = cols[opens], vals[opens]
+
+    # Score whole columns a block at a time, so that the (candidates x
+    # classes) arrays stay near _BLOCK_CELLS cells at any corpus size.
+    col_starts = np.flatnonzero(np.r_[True, g_col[1:] != g_col[:-1]])
+    per_block = max(1, _BLOCK_CELLS // n_classes)
+    marks = np.arange(0, g_col.size, per_block)
+    bounds = np.unique(col_starts[np.searchsorted(col_starts, marks, side="right") - 1])
+    scored = []
+    for a, b in zip(bounds, np.r_[bounds[1:], g_col.size]):
+        e = slice(g_entry[a], g_entry[b])
+        scored.append(_score_cuts(
+            group[e] - a, labels[e], g_col[a:b], g_val[a:b], parent, min_leaf
+        ))
+    cut_col, cut_thr, gain, ratio = (np.concatenate(parts) for parts in zip(*scored))
+    if gain.size == 0:
+        return None
     mean_gain = gain.mean()
     eligible = (gain >= mean_gain - 1e-12) & (gain > 1e-12)
     if not eligible.any():
         return None
-    idx = np.nonzero(eligible)[0]
-    best = min(idx, key=lambda i: (-ratio[i], cols[i], thrs[i]))
-    return int(cols[best]), float(thrs[best])
+    # candidates run in (column, threshold) order, so the first maximum
+    # ratio is the minimum of (-ratio, column, threshold)
+    best = np.flatnonzero(eligible)[np.argmax(ratio[eligible])]
+    return int(cut_col[best]), float(cut_thr[best])
 
 
 def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> TreeNode:
@@ -266,7 +333,10 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
     n = matrix.values.shape[0]
     if n == 0:
         raise OntoclassError("empty training matrix")
-    x = np.asarray(matrix.values.todense(), dtype=np.float64)
+    x = sparse.csr_matrix(matrix.values, dtype=np.float64, copy=True)
+    x.sum_duplicates()
+    x.eliminate_zeros()
+    goes_left = _router(x.tocsc())
     cat_names = sorted(set(matrix.labels))
     cat_index = {c: i for i, c in enumerate(cat_names)}
     y = np.array([cat_index[lab] for lab in matrix.labels], dtype=np.int64)
@@ -285,11 +355,11 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
             config.max_depth is not None and depth >= config.max_depth
         ):
             return TreeNode(class_counts=counts, category=cat)
-        found = _best_split(x[rows], y[rows], len(cat_names), config.min_leaf)
+        found = _best_split(x, y, rows, len(cat_names), config.min_leaf)
         if found is None:
             return TreeNode(class_counts=counts, category=cat)
         col, thr = found
-        mask = x[rows, col] <= thr
+        mask = goes_left(rows, col, thr)
         return TreeNode(
             class_counts=counts,
             category=cat,
@@ -370,11 +440,23 @@ def c45_predict(tree: TreeNode, query) -> str:
 
 
 def c45_predict_all(tree: TreeNode, queries) -> list[str]:
+    """Classify each query row, routing all rows down the tree together."""
     if isinstance(queries, WeightedMatrix):
         queries = queries.values
-    if sparse.issparse(queries):
-        queries = np.asarray(queries.todense())
-    return [c45_predict(tree, queries[i]) for i in range(queries.shape[0])]
+    q = sparse.csc_matrix(queries, dtype=np.float64, copy=True)
+    q.sum_duplicates()
+    goes_left = _router(q)
+    out = np.empty(q.shape[0], dtype=object)
+    stack = [(tree, np.arange(q.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.category
+        elif rows.size:
+            left = goes_left(rows, node.col, node.threshold)
+            stack.append((node.left, rows[left]))
+            stack.append((node.right, rows[~left]))
+    return out.tolist()
 
 
 def _counts_fields(counts: dict[str, int]) -> str:

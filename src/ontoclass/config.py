@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, open_utf8
 
 CORPUS_FORMATS = ("ohsumed", "textdir", "jsonl")
 ONTOLOGY_FORMATS = ("tsv", "mesh-ascii")
@@ -162,7 +162,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("config", f"file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path, lambda msg: ConfigError("config", msg)) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError("config", f"bad INI syntax: {exc}") from None

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import OntoclassError, ParseError
+from .errors import OntoclassError, ParseError, open_utf8
 
 log = logging.getLogger(__name__)
 
@@ -223,20 +222,8 @@ def parse_ohsumed(stream: IO[str] | Iterable[str]) -> Corpus:
     return Corpus(documents=tuple(documents), dropped=tuple(dropped))
 
 
-@contextmanager
-def _open_utf8(path: str | Path) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file; a byte that does not decode becomes a
-    ParseError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start : exc.start + 1]
-        raise ParseError(f"{path}: not UTF-8 (byte 0x{bad.hex()})") from None
-
-
 def load_ohsumed(path: str | Path) -> Corpus:
-    with _open_utf8(path) as fh:
+    with open_utf8(path) as fh:
         return parse_ohsumed(fh)
 
 
@@ -257,7 +244,7 @@ def parse_textdir(root: str | Path) -> Corpus:
     for path in sorted(root.rglob("*.txt")):
         rel = path.relative_to(root)
         doc_id = str(rel.with_suffix("")).replace("\\", "/")
-        with _open_utf8(path) as fh:
+        with open_utf8(path) as fh:
             text = fh.read()
         title, _, abstract = text.partition("\n")
         title = title.strip()
@@ -285,7 +272,7 @@ def parse_textdir(root: str | Path) -> Corpus:
 def load_label_map(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Read a ``doc_id<TAB>category[;category...]`` file."""
     label_map: dict[str, tuple[str, ...]] = {}
-    with _open_utf8(path) as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -396,11 +383,21 @@ def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+_JSONL_TEXT_FIELDS = ("title", "abstract", "authors", "source", "pub_type")
+
+
+def _jsonl_strings(rec: dict, key: str, lineno: int) -> tuple[str, ...]:
+    value = rec.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{key} is not a list of strings", lineno)
+    return tuple(value)
+
+
 def load_corpus_jsonl(path: str | Path) -> Corpus:
     documents: list[Document] = []
     categories: tuple[str, ...] = ()
     dropped: tuple[str, ...] = ()
-    with _open_utf8(path) as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -414,21 +411,23 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
                 meta = rec["_meta"]
                 if not isinstance(meta, dict):
                     raise ParseError("_meta is not a JSON object", lineno)
-                categories = tuple(meta.get("categories", ()))
-                dropped = tuple(meta.get("dropped", ()))
+                categories = _jsonl_strings(meta, "categories", lineno)
+                dropped = _jsonl_strings(meta, "dropped", lineno)
                 continue
             if "doc_id" not in rec:
                 raise ParseError("record has no doc_id", lineno)
+            if not isinstance(rec["doc_id"], str) or not rec["doc_id"]:
+                raise ParseError("doc_id is not a non-empty string", lineno)
+            text = {key: rec.get(key, "") for key in _JSONL_TEXT_FIELDS}
+            for key, value in text.items():
+                if not isinstance(value, str):
+                    raise ParseError(f"{key} is not a string", lineno)
             documents.append(
                 Document(
                     doc_id=rec["doc_id"],
-                    title=rec.get("title", ""),
-                    abstract=rec.get("abstract", ""),
-                    mesh_annotations=tuple(rec.get("mesh_annotations", ())),
-                    authors=rec.get("authors", ""),
-                    source=rec.get("source", ""),
-                    pub_type=rec.get("pub_type", ""),
-                    labels=tuple(rec.get("labels", ())),
+                    mesh_annotations=_jsonl_strings(rec, "mesh_annotations", lineno),
+                    labels=_jsonl_strings(rec, "labels", lineno),
+                    **text,
                 )
             )
     return Corpus(documents=tuple(documents), categories=categories, dropped=dropped)

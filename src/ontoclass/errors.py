@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the opener that turns
+a byte that is not UTF-8 into one of them."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Callable, Iterator
 
 
 class OntoclassError(Exception):
@@ -31,3 +36,17 @@ class ConfigError(OntoclassError):
 
 class ExperimentError(OntoclassError):
     """Failure while running an experiment; carries fold context."""
+
+
+@contextmanager
+def open_utf8(
+    path: str | Path, error: Callable[[str], OntoclassError] = ParseError
+) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file; a byte that does not decode becomes
+    `error(message)`, a message naming the file and the byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.start + 1]
+        raise error(f"{path}: not UTF-8 (byte 0x{bad.hex()})") from None

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OntologyError, ParseError
+from .errors import OntologyError, ParseError, open_utf8
 from .porter import stem
 from .preprocess import load_stoplist, tokenize
 
@@ -110,7 +110,7 @@ def load_ontology(
     empty. '#' starts a comment line.
     """
     rows: list[tuple[str, str, list[str], list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -163,7 +163,7 @@ def import_mesh_ascii(
         rows.append((uid, name, record.get("MN", []), [e for e in entries if e]))
         record.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for raw in fh:
             line = raw.strip()
             if line == "*NEWRECORD":

@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import strip_markup
+from .errors import open_utf8
 from .porter import stem
 
 log = logging.getLogger(__name__)
@@ -45,7 +46,8 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
             resources.files("ontoclass.data").joinpath("stoplist.txt").read_text("utf-8")
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_utf8(path) as fh:
+            text = fh.read()
     words = set()
     for line in text.splitlines():
         word = line.strip().lower()

@@ -1,15 +1,21 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+from ontoclass import classify
 from ontoclass.classify import (
     KnnModel,
     TreeConfig,
     TreeNode,
+    _entropy,
     c45_predict,
     c45_predict_all,
     c45_train,
@@ -413,6 +419,250 @@ class TestTreeDescent:
     def test_single_leaf_constant(self):
         leaf = TreeNode(class_counts={"Z": 1}, category="Z")
         assert c45_predict(leaf, [123.0, -5.0]) == "Z"
+
+
+# -- dense reference: the split search as it was before it read only the
+# nonzeros; the sparse search must grow the same trees, bit for bit
+
+def dense_best_split(x, y, n_classes, min_leaf):
+    n = x.shape[0]
+    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    parent_h = _entropy(parent_counts)
+    if parent_h == 0.0 or n < 2 * min_leaf:
+        return None
+
+    cand_gain, cand_ratio, cand_col, cand_thr = [], [], [], []
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    for col in range(x.shape[1]):
+        vals = x[:, col]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cum = np.cumsum(onehot[order], axis=0)
+        cut = np.nonzero(sv[:-1] != sv[1:])[0]
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        cut = cut[keep]
+        if cut.size == 0:
+            continue
+        left_n = left_n[keep].astype(np.float64)
+        right_n = n - left_n
+        left_counts = cum[cut]
+        right_counts = parent_counts[None, :] - left_counts
+
+        def h(counts, totals):
+            p = counts / totals[:, None]
+            terms = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+            return -terms.sum(axis=1)
+
+        gain = parent_h - (left_n * h(left_counts, left_n)
+                           + right_n * h(right_counts, right_n)) / n
+        pl = left_n / n
+        split_info = -(pl * np.log2(pl) + (1 - pl) * np.log2(1 - pl))
+        ratio = np.where(split_info > 0, gain / split_info, 0.0)
+        cand_gain.append(gain)
+        cand_ratio.append(ratio)
+        cand_col.append(np.full(cut.size, col))
+        cand_thr.append((sv[cut] + sv[cut + 1]) / 2.0)
+
+    if not cand_gain:
+        return None
+    gain = np.concatenate(cand_gain)
+    ratio = np.concatenate(cand_ratio)
+    cols = np.concatenate(cand_col)
+    thrs = np.concatenate(cand_thr)
+    mean_gain = gain.mean()
+    eligible = (gain >= mean_gain - 1e-12) & (gain > 1e-12)
+    if not eligible.any():
+        return None
+    idx = np.nonzero(eligible)[0]
+    best = min(idx, key=lambda i: (-ratio[i], cols[i], thrs[i]))
+    return int(cols[best]), float(thrs[best])
+
+
+def dense_c45_train(matrix, config):
+    x = np.asarray(matrix.values.todense(), dtype=np.float64)
+    cat_names = sorted(set(matrix.labels))
+    y = np.array([cat_names.index(lab) for lab in matrix.labels], dtype=np.int64)
+
+    def grow(rows, depth):
+        bc = np.bincount(y[rows], minlength=len(cat_names))
+        counts = {cat_names[i]: int(bc[i]) for i in range(len(cat_names)) if bc[i]}
+        cat = min(counts, key=lambda c: (-counts[c], c))
+        if len(counts) == 1 or (
+            config.max_depth is not None and depth >= config.max_depth
+        ):
+            return TreeNode(class_counts=counts, category=cat)
+        found = dense_best_split(x[rows], y[rows], len(cat_names), config.min_leaf)
+        if found is None:
+            return TreeNode(class_counts=counts, category=cat)
+        col, thr = found
+        mask = x[rows, col] <= thr
+        return TreeNode(
+            class_counts=counts, category=cat,
+            descriptor=matrix.descriptors[col], col=col, threshold=thr,
+            left=grow(rows[mask], depth + 1), right=grow(rows[~mask], depth + 1),
+        )
+
+    tree = grow(np.arange(x.shape[0]), 0)
+    return prune_tree(tree, config.confidence) if config.prune else tree
+
+
+def assert_same_tree(got, want, path="root"):
+    assert got.class_counts == want.class_counts, path
+    assert got.category == want.category, path
+    assert got.descriptor == want.descriptor, path
+    assert got.col == want.col, path
+    assert float(got.threshold).hex() == float(want.threshold).hex(), path
+    if not want.is_leaf:
+        assert_same_tree(got.left, want.left, path + ".L")
+        assert_same_tree(got.right, want.right, path + ".R")
+
+
+# Few distinct values, most of them zero: many tied cuts and gain ratios,
+# empty rows and empty columns.
+_cell = st.one_of(
+    st.sampled_from((0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0 / 3.0)),
+    st.floats(1e-3, 2.0),
+)
+
+
+@st.composite
+def _tree_inputs(draw):
+    n_rows = draw(st.integers(1, 14))
+    n_cols = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_cell, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_rows, max_size=n_rows))
+    queries = draw(st.lists(st.lists(_cell, min_size=n_cols, max_size=n_cols),
+                            max_size=6))
+    config = TreeConfig(
+        min_leaf=draw(st.integers(1, 4)),
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 3))),
+        prune=draw(st.booleans()),
+    )
+    m = make_matrix(rows, [f"c{lab}" for lab in labels])
+    q = sparse.csr_matrix(np.asarray(queries, dtype=np.float64).reshape(-1, n_cols))
+    return m, q, config
+
+
+class TestSparseSplitEquivalence:
+    # block sizes of one column, a few columns, and the default
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_tree_inputs(),
+           cells=st.sampled_from((1, 7, classify._BLOCK_CELLS)))
+    def test_matches_dense_reference(self, inputs, cells):
+        m, q, config = inputs
+        with mock.patch.object(classify, "_BLOCK_CELLS", cells):
+            tree = c45_train(m, config)
+        assert_same_tree(tree, dense_c45_train(m, config))
+        for queries in (m.values, q):
+            row_by_row = [c45_predict(tree, queries[i])
+                          for i in range(queries.shape[0])]
+            assert c45_predict_all(tree, queries) == row_by_row
+
+    @pytest.mark.parametrize("cells", [20, classify._BLOCK_CELLS])
+    def test_many_classes_match_dense_reference(self, cells, monkeypatch):
+        # From eight classes on, numpy sums a row of class terms pairwise,
+        # so the order of the additions can flip a near-tie in gain ratio.
+        monkeypatch.setattr(classify, "_BLOCK_CELLS", cells)
+        for seed in range(300):
+            rng = random.Random(seed)
+            n_classes = rng.randint(8, 12)
+            n_rows, n_cols = rng.randint(10, 30), rng.randint(2, 6)
+            rows = [[rng.choice((0.0, 0.0, 0.0, 0.5, 1.0)) for _ in range(n_cols)]
+                    for _ in range(n_rows)]
+            labels = [f"c{rng.randrange(n_classes)}" for _ in range(n_rows)]
+            m = make_matrix(rows, labels)
+            config = TreeConfig(min_leaf=1, prune=False)
+            assert_same_tree(c45_train(m, config), dense_c45_train(m, config),
+                             f"seed {seed}")
+
+    def test_explicit_zeros_and_duplicates_read_as_dense(self):
+        rows = [[0.0, 0.2, 0.5], [0.3, 0.0, 0.5], [0.0, 0.7, 0.0],
+                [0.6, 0.9, 0.0], [0.0, 0.0, 0.5], [0.6, 0.2, 0.0]]
+        labels = ["A", "A", "B", "B", "A", "B"]
+        dense = make_matrix(rows, labels)
+        # every zero cell stored, every nonzero stored as two halves
+        data, indices, indptr = [], [], [0]
+        for row in rows:
+            for j, v in enumerate(row):
+                data += [v / 2, v / 2] if v else [0.0]
+                indices += [j, j] if v else [j]
+            indptr.append(len(data))
+        values = sparse.csr_matrix((data, indices, indptr), shape=(6, 3))
+        assert not values.has_canonical_format
+        odd = WeightedMatrix(dense.doc_ids, dense.descriptors, values, dense.labels)
+        config = TreeConfig(min_leaf=1, prune=False)
+        tree = c45_train(odd, config)
+        assert_same_tree(tree, dense_c45_train(dense, config))
+        assert not tree.is_leaf
+        assert c45_predict_all(tree, odd) == c45_predict_all(tree, dense) == labels
+
+
+class TestC45BoundedMemory:
+    def test_wide_sparse_matrix_is_never_densified(self):
+        # 300 x 50,000 is 120 MB dense; ten nonzeros a row are about 36 KB
+        n_rows, n_cols, per_row = 300, 50_000, 10
+        rng = np.random.default_rng(5)
+        cols = rng.integers(2, n_cols, size=(n_rows, per_row))
+        cols[::3, 0] = 0  # column 0 marks class A, column 1 class B
+        cols[1::3, 0] = 1
+        values = sparse.csr_matrix(
+            (rng.uniform(0.1, 1.0, n_rows * per_row),
+             (np.repeat(np.arange(n_rows), per_row), cols.ravel())),
+            shape=(n_rows, n_cols),
+        )
+        labels = tuple("ABC"[i % 3] for i in range(n_rows))
+        m = WeightedMatrix(
+            doc_ids=tuple(f"d{i}" for i in range(n_rows)),
+            descriptors=tuple(f"t:f{j}" for j in range(n_cols)),
+            values=values,
+            labels=labels,
+        )
+        dense_bytes = n_rows * n_cols * 8
+        tracemalloc.start()
+        try:
+            tree = c45_train(m)
+            predicted = c45_predict_all(tree, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert predicted == list(labels)
+        assert tree.node_count() <= 5
+        assert peak < dense_bytes / 10, f"peak {peak} bytes"
+
+    def test_split_search_memory_does_not_grow_with_candidates_times_classes(self):
+        # 80,000 nonzeros, nearly all distinct, under 23 classes: scoring
+        # every cut at once takes about nine (nonzeros x classes) float
+        # arrays at the root, scoring them a block of columns at a time
+        # less than one
+        n_rows, n_cols, per_row, n_classes = 2000, 2000, 40, 23
+        rng = np.random.default_rng(7)
+        values = sparse.csr_matrix(
+            (rng.uniform(0.1, 1.0, n_rows * per_row),
+             (np.repeat(np.arange(n_rows), per_row),
+              rng.integers(0, n_cols, n_rows * per_row))),
+            shape=(n_rows, n_cols),
+        )
+        m = WeightedMatrix(
+            doc_ids=tuple(f"d{i}" for i in range(n_rows)),
+            descriptors=tuple(f"t:f{j}" for j in range(n_cols)),
+            values=values,
+            labels=tuple(f"c{i % n_classes:02d}" for i in range(n_rows)),
+        )
+        array_bytes = values.nnz * n_classes * 8
+        tracemalloc.start()
+        try:
+            c45_train(m, TreeConfig(max_depth=1, prune=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * array_bytes, f"peak {peak} bytes"
 
 
 class TestSerialization:

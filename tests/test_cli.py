@@ -178,7 +178,8 @@ class TestExitCodes:
         (workspace / "onto.tsv").write_bytes(latin1)
         assert run(workspace, "ontology-check") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [ontology-check] UnicodeDecodeError:")
+        assert err.startswith("error [ontology-check] ParseError:")
+        assert "onto.tsv: not UTF-8 (byte 0xe9)" in err
         assert len(err.splitlines()) == 1
 
     def test_env_var_supplies_config(self, workspace, monkeypatch, capsys):

@@ -123,6 +123,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="config: file not found"):
             load_config(tmp_path / "nope.ini")
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = write_config(tmp_path, FULL_INI)
+        path.write_bytes(path.read_bytes() + b"# Caf\xe9\n")
+        with pytest.raises(ConfigError,
+                           match=r"config: .*exp\.ini: not UTF-8 \(byte 0xe9\)"):
+            load_config(path)
+
     def test_unknown_section(self, tmp_path):
         text = FULL_INI + "\n[training]\nepochs = 5\n"
         with pytest.raises(ConfigError, match="training: unknown section"):

@@ -255,6 +255,27 @@ class TestJsonlMalformed:
         with pytest.raises(ParseError, match="line 1: record is not a JSON object"):
             load_corpus_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"doc_id": 5, "labels": "AB"}', "doc_id is not a non-empty string"),
+            ('{"doc_id": ""}', "doc_id is not a non-empty string"),
+            ('{"doc_id": "1", "labels": "AB"}', "labels is not a list of strings"),
+            ('{"doc_id": "1", "labels": ["A", 3]}', "labels is not a list of strings"),
+            ('{"doc_id": "1", "mesh_annotations": "Heart"}',
+             "mesh_annotations is not a list of strings"),
+            ('{"doc_id": "1", "title": 7}', "title is not a string"),
+            ('{"doc_id": "1", "abstract": null}', "abstract is not a string"),
+            ('{"doc_id": "1", "pub_type": ["x"]}', "pub_type is not a string"),
+            ('{"_meta": {"categories": "AB"}}', "categories is not a list of strings"),
+        ],
+    )
+    def test_field_of_wrong_type(self, tmp_path, record, message):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"doc_id": "0"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            load_corpus_jsonl(path)
+
     def test_meta_not_an_object(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"_meta": ["A"]}\n', encoding="utf-8")

@@ -98,6 +98,19 @@ class TestLoaders:
         with pytest.raises(ParseError, match="line 1"):
             load_ontology(f)
 
+    def test_non_utf8_tsv_names_the_file(self, tmp_path):
+        f = tmp_path / "onto.tsv"
+        f.write_bytes(CHAIN_TSV.encode("utf-8") + b"D400\tCaf\xe9\tC02\t\n")
+        with pytest.raises(ParseError, match=r"onto\.tsv: not UTF-8 \(byte 0xe9\)"):
+            load_ontology(f)
+
+    def test_non_utf8_mesh_ascii_names_the_file(self, tmp_path):
+        f = tmp_path / "mesh.txt"
+        f.write_bytes(CHAIN_MESH.encode("utf-8")
+                      + b"*NEWRECORD\nMH = Caf\xe9\nUI = D9\n")
+        with pytest.raises(ParseError, match=r"mesh\.txt: not UTF-8 \(byte 0xe9\)"):
+            import_mesh_ascii(f)
+
     def test_duplicate_concept_id(self):
         rows = [("D1", "One", [], []), ("D1", "Two", [], [])]
         with pytest.raises(OntologyError, match="duplicate"):

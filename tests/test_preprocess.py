@@ -1,6 +1,9 @@
 from collections import Counter
 
+import pytest
+
 from ontoclass.corpus import Corpus, Document
+from ontoclass.errors import ParseError
 from ontoclass.preprocess import (
     load_stoplist,
     preprocess_corpus,
@@ -30,6 +33,13 @@ def test_custom_stoplist(tmp_path):
     f = tmp_path / "stop.txt"
     f.write_text("# header\nFOO\n\nbar\n")
     assert load_stoplist(f) == {"foo", "bar"}
+
+
+def test_non_utf8_stoplist_names_the_file(tmp_path):
+    f = tmp_path / "stop.txt"
+    f.write_bytes(b"the\ncaf\xe9\n")
+    with pytest.raises(ParseError, match=r"stop\.txt: not UTF-8 \(byte 0xe9\)"):
+        load_stoplist(f)
 
 
 def test_preprocess_text_pipeline():
