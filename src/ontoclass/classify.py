@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -399,33 +399,26 @@ def _extra_errors(n: float, e: float, cf: float) -> float:
     return pr * n - e
 
 
-def _estimated_errors(node: TreeNode, cf: float) -> float:
-    n = sum(node.class_counts.values())
-    if node.is_leaf:
-        e = n - node.class_counts.get(node.category, 0)
-        return e + _extra_errors(n, e, cf)
-    return _estimated_errors(node.left, cf) + _estimated_errors(node.right, cf)
-
-
 def prune_tree(node: TreeNode, confidence: float = PRUNE_CONFIDENCE) -> TreeNode:
     """Bottom-up subtree replacement when a leaf would not estimate worse."""
-    if node.is_leaf:
-        return node
-    pruned = TreeNode(
-        class_counts=node.class_counts,
-        category=node.category,
-        descriptor=node.descriptor,
-        col=node.col,
-        threshold=node.threshold,
-        left=prune_tree(node.left, confidence),
-        right=prune_tree(node.right, confidence),
-    )
+    return _prune(node, confidence)[0]
+
+
+def _prune(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
+    """Prune a subtree; return it with its estimated errors, so that no
+    subtree is walked again to estimate an ancestor."""
     n = sum(node.class_counts.values())
-    e_leaf = n - node.class_counts.get(node.category, 0)
-    leaf_errors = e_leaf + _extra_errors(n, e_leaf, confidence)
-    if leaf_errors <= _estimated_errors(pruned, confidence) + 0.1:
-        return TreeNode(class_counts=node.class_counts, category=node.category)
-    return pruned
+    e = n - node.class_counts.get(node.category, 0)
+    leaf_errors = e + _extra_errors(n, e, cf)
+    if node.is_leaf:
+        return node, leaf_errors
+    left, left_errors = _prune(node.left, cf)
+    right, right_errors = _prune(node.right, cf)
+    subtree_errors = left_errors + right_errors
+    if leaf_errors <= subtree_errors + 0.1:
+        return TreeNode(class_counts=node.class_counts,
+                        category=node.category), leaf_errors
+    return replace(node, left=left, right=right), subtree_errors
 
 
 def c45_predict(tree: TreeNode, query) -> str:

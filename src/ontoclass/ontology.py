@@ -264,6 +264,7 @@ def build_ontology(
                 slot = truncated.setdefault(key, {})
                 slot[concept_id] = slot.get(concept_id, False) or is_pref
 
+    dropped = 0
     for key, candidates in truncated.items():
         owners = set(candidates) | set(exact.get(key, {}))
         if len(owners) == 1:
@@ -271,6 +272,7 @@ def build_ontology(
             for cid, is_pref in candidates.items():
                 slot[cid] = slot.get(cid, False) or is_pref
         else:
+            dropped += 1
             log.warning(
                 "long entry terms truncating to %r are ambiguous across %s; dropped",
                 key, sorted(owners),
@@ -286,12 +288,21 @@ def build_ontology(
             )
         return rank
 
+    # most keys name one concept, and one candidate needs no ranking
     phrase_index = {
-        key: tuple(sorted(cids, key=order_key(key)))
+        key: tuple(cids) if len(cids) == 1
+        else tuple(sorted(cids, key=order_key(key)))
         for key, cids in exact.items()
     }
 
     onto = Ontology(concepts=concepts, phrase_index=phrase_index,
                     max_phrase_len=max_phrase_len)
     onto.depth()  # raises on a hierarchy cycle
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "ontology: %d concepts, %d index keys, %d with more than one "
+            "sense, %d ambiguous truncations dropped",
+            len(concepts), len(phrase_index),
+            sum(len(cids) > 1 for cids in phrase_index.values()), dropped,
+        )
     return onto

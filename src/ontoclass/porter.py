@@ -11,6 +11,8 @@ unspecified.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
 
 
@@ -175,8 +177,15 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=None)
 def stem(word: str) -> str:
-    """Return the Porter stem of a lowercase alphabetic word."""
+    """Return the Porter stem of a lowercase alphabetic word.
+
+    Memoised for the life of the process: each distinct word is stemmed
+    once, whichever caller (document text, thesaurus entry terms, MeSH
+    annotations) meets it first. The memo holds one entry per distinct
+    word, the vocabulary the term vectors and phrase index already hold.
+    """
     if len(word) <= 2:
         return word
     word = _step1a(word)

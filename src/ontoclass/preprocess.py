@@ -96,7 +96,14 @@ def preprocess_corpus(corpus, stopwords: frozenset[str] | None = None) -> list[T
     """Preprocess every document of a corpus (title + abstract)."""
     if stopwords is None:
         stopwords = load_stoplist()
-    return [
+    vectors = [
         preprocess_text(doc.doc_id, doc.text, stopwords, labels=doc.labels)
         for doc in corpus.documents
     ]
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "preprocess: %d documents, %d tokens, %d distinct stems",
+            len(vectors), sum(v.total() for v in vectors),
+            len(set().union(*(v.counts for v in vectors))),
+        )
+    return vectors

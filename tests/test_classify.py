@@ -16,6 +16,7 @@ from ontoclass.classify import (
     TreeConfig,
     TreeNode,
     _entropy,
+    _extra_errors,
     c45_predict,
     c45_predict_all,
     c45_train,
@@ -482,6 +483,38 @@ def dense_best_split(x, y, n_classes, min_leaf):
     return int(cols[best]), float(thrs[best])
 
 
+# -- reference pruning: subtree replacement as it was before the recursion
+# returned each subtree's estimate, re-walking the subtree at every node
+
+def reference_estimated_errors(node, cf):
+    n = sum(node.class_counts.values())
+    if node.is_leaf:
+        e = n - node.class_counts.get(node.category, 0)
+        return e + _extra_errors(n, e, cf)
+    return (reference_estimated_errors(node.left, cf)
+            + reference_estimated_errors(node.right, cf))
+
+
+def reference_prune_tree(node, confidence=classify.PRUNE_CONFIDENCE):
+    if node.is_leaf:
+        return node
+    pruned = TreeNode(
+        class_counts=node.class_counts,
+        category=node.category,
+        descriptor=node.descriptor,
+        col=node.col,
+        threshold=node.threshold,
+        left=reference_prune_tree(node.left, confidence),
+        right=reference_prune_tree(node.right, confidence),
+    )
+    n = sum(node.class_counts.values())
+    e_leaf = n - node.class_counts.get(node.category, 0)
+    leaf_errors = e_leaf + _extra_errors(n, e_leaf, confidence)
+    if leaf_errors <= reference_estimated_errors(pruned, confidence) + 0.1:
+        return TreeNode(class_counts=node.class_counts, category=node.category)
+    return pruned
+
+
 def dense_c45_train(matrix, config):
     x = np.asarray(matrix.values.todense(), dtype=np.float64)
     cat_names = sorted(set(matrix.labels))
@@ -507,7 +540,7 @@ def dense_c45_train(matrix, config):
         )
 
     tree = grow(np.arange(x.shape[0]), 0)
-    return prune_tree(tree, config.confidence) if config.prune else tree
+    return reference_prune_tree(tree, config.confidence) if config.prune else tree
 
 
 def assert_same_tree(got, want, path="root"):
@@ -548,6 +581,41 @@ def _tree_inputs(draw):
     m = make_matrix(rows, [f"c{lab}" for lab in labels])
     q = sparse.csr_matrix(np.asarray(queries, dtype=np.float64).reshape(-1, n_cols))
     return m, q, config
+
+
+@st.composite
+def _unpruned_trees(draw):
+    # any class split at any node, so that a leaf's estimate and its
+    # subtree's often land within the 0.1 margin of each other
+    classes = draw(st.integers(1, 4))
+    col = iter(range(1000))
+
+    def grow(counts, depth):
+        cat = min(counts, key=lambda c: (-counts[c], c))
+        if depth == 5 or sum(counts.values()) < 2 or not draw(st.booleans()):
+            return TreeNode(class_counts=counts, category=cat)
+        left = {c: draw(st.integers(0, n)) for c, n in counts.items()}
+        right = {c: n - left[c] for c, n in counts.items() if n - left[c]}
+        left = {c: n for c, n in left.items() if n}
+        if not left or not right:
+            return TreeNode(class_counts=counts, category=cat)
+        return TreeNode(
+            class_counts=counts, category=cat, descriptor=f"t:d{depth}",
+            col=next(col), threshold=draw(st.floats(0.0, 2.0)),
+            left=grow(left, depth + 1), right=grow(right, depth + 1),
+        )
+
+    counts = {f"c{i}": draw(st.integers(1, 40)) for i in range(classes)}
+    return grow(counts, 0)
+
+
+class TestPruneEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_unpruned_trees(),
+           confidence=st.floats(1e-3, 0.5))
+    def test_matches_reference(self, tree, confidence):
+        assert_same_tree(prune_tree(tree, confidence),
+                         reference_prune_tree(tree, confidence))
 
 
 class TestSparseSplitEquivalence:

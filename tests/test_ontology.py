@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+import synthcorpus
 from ontoclass.errors import OntologyError, ParseError
 from ontoclass.ontology import (
     build_ontology,
@@ -240,3 +243,104 @@ def test_two_tree_positions_union_children():
     ]
     onto = build_ontology(rows)
     assert onto.hyponyms("D_P") == {"D_C1", "D_C2", "D_C3"}
+
+
+# Keys with two and three senses, ranked by preferred name, then tree
+# number, then id, and entered in an order that is not their rank; a
+# unique and an ambiguous truncation; a synonym that stems like its name.
+SENSES_MESH = """\
+*NEWRECORD
+MH = Common Cold
+ENTRY = Cold|T047|NON|EQV
+ENTRY = Head Cold
+MN = C08.730.162
+UI = D012
+
+*NEWRECORD
+MH = Cold Temperature
+ENTRY = Cold
+ENTRY = Low Temperature
+MN = G01.358.500
+UI = D011
+
+*NEWRECORD
+MH = Cold
+MN = C02
+UI = D010
+
+*NEWRECORD
+MH = Grippe
+MN = C23
+UI = D021
+
+*NEWRECORD
+MH = Grippe
+ENTRY = Influenza
+MN = C11
+UI = D020
+
+*NEWRECORD
+MH = Influenza, Human
+PRINT ENTRY = Influenza|T047|NON|EQV
+ENTRY = Human Flu
+UI = D032
+
+*NEWRECORD
+MH = Flu Season
+ENTRY = Influenza
+ENTRY = Human Flu
+UI = D031
+
+*NEWRECORD
+MH = Acute Bacterial Meningitis Outbreak
+MN = C10.228
+UI = D040
+
+*NEWRECORD
+MH = Acute Bacterial Meningitis Relapse
+MN = C10.229
+UI = D041
+
+*NEWRECORD
+MH = Systemic Inflammatory Response Syndrome Shock
+ENTRY = Sepsis
+MN = C23.550
+UI = D050
+
+*NEWRECORD
+MH = Temperature
+ENTRY = Low Temperature
+ENTRY = Temperatures
+MN = G01
+UI = D013
+"""
+
+
+class TestPhraseIndexPinned:
+    """The phrase index must not change by key, by sense or by order. The
+    digests were taken from the index that sorted every key's senses."""
+
+    def test_sibling_merge_fixture(self):
+        fx = synthcorpus.sibling_merge_fixture(seed=3)
+        onto = build_ontology(list(fx.ontology_rows), stopwords=load_stoplist())
+        assert hashlib.sha256(
+            repr(list(onto.phrase_index.items())).encode("utf-8")
+        ).hexdigest() == "742619d71d504057551476f84e0a01382e4ef3f2c1fa5746ee3130f50058a240"
+
+    def test_mesh_senses(self, tmp_path):
+        f = tmp_path / "mesh.txt"
+        f.write_text(SENSES_MESH)
+        onto = import_mesh_ascii(f)
+        assert onto.lookup_concepts("cold") == ("D010", "D012", "D011")
+        assert onto.lookup_concepts("influenza") == ("D020", "D031", "D032")
+        assert hashlib.sha256(
+            repr(list(onto.phrase_index.items())).encode("utf-8")
+        ).hexdigest() == "0a13c6b93f658dde9f3638a403148b59e421239d21fcbc9c0add24b7861d7e84"
+
+    def test_counts_logged_at_info(self, tmp_path, caplog):
+        f = tmp_path / "mesh.txt"
+        f.write_text(SENSES_MESH)
+        with caplog.at_level("INFO", logger="ontoclass.ontology"):
+            import_mesh_ascii(f)
+        assert ("ontology: 11 concepts, 13 index keys, 5 with more than one "
+                "sense, 1 ambiguous truncations dropped") in caplog.text

@@ -66,3 +66,10 @@ def test_stem_properties(word):
     assert s
     assert len(s) <= len(word)
     assert s.islower()
+
+
+@given(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1,
+                        max_size=12), max_size=20))
+def test_memo_returns_the_uncached_stem(words):
+    for word in words + words:
+        assert stem(word) == stem.__wrapped__(word)

@@ -4,6 +4,8 @@ import pytest
 
 from ontoclass.corpus import Corpus, Document
 from ontoclass.errors import ParseError
+from ontoclass.ontology import build_ontology
+from ontoclass.porter import stem
 from ontoclass.preprocess import (
     load_stoplist,
     preprocess_corpus,
@@ -67,3 +69,38 @@ def test_preprocess_corpus_carries_labels():
     assert tv.doc_id == "1"
     assert tv.labels == ("CatA",)
     assert "heart" in tv.counts
+
+
+def test_preprocess_corpus_logs_counts_at_info(caplog):
+    corpus = Corpus(documents=(
+        Document(doc_id="1", title="Heart disease", abstract="in walking adults"),
+        Document(doc_id="2", title="Heart", abstract="walked, walking"),
+    ))
+    with caplog.at_level("INFO", logger="ontoclass.preprocess"):
+        preprocess_corpus(corpus)
+    assert "preprocess: 2 documents, 7 tokens, 4 distinct stems" in caplog.text
+
+
+def test_each_distinct_word_is_stemmed_once():
+    # the thesaurus and the abstracts share some words and each has words
+    # of its own, so a caller that skips the memo shows in the counts
+    stop = load_stoplist()
+    rows = [
+        ("D1", "Heart Failure", ["C14"], ["Cardiac Failure", "Failure of the Heart"]),
+        ("D2", "Heart Diseases", ["C14.280"], ["Cardiac Disease"]),
+    ]
+    corpus = Corpus(documents=(
+        Document(doc_id="1", title="Heart failure",
+                 abstract="Cardiac failure of the heart in walking patients."),
+        Document(doc_id="2", title="Walking",
+                 abstract="The patients walked; patients walk, walking."),
+    ))
+    texts = [term for row in rows for term in (row[1], *row[3])]
+    texts += [doc.text for doc in corpus.documents]
+    tokens = [tok for text in texts for tok in tokenize(text) if tok not in stop]
+    stem.cache_clear()
+    build_ontology(rows, stopwords=stop)
+    preprocess_corpus(corpus, stop)
+    info = stem.cache_info()
+    assert info.misses == len(set(tokens))
+    assert info.hits + info.misses == len(tokens)
