@@ -40,13 +40,11 @@ from .evaluate import (
     run_experiment,
 )
 from .features import (
-    CategoryStats,
     ContingencyTable,
     FeatureSpace,
     WeightedMatrix,
     build_matrix,
     chi_square,
-    compute_category_stats,
     select_top_k,
     tfidf_weight,
 )
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategoryMetrics",
-    "CategoryStats",
     "Concept",
     "ConceptVector",
     "ConfigError",
@@ -102,7 +99,6 @@ __all__ = [
     "c45_predict",
     "c45_train",
     "chi_square",
-    "compute_category_stats",
     "enrich_hyperonyms",
     "f_measure",
     "gain_ratio",

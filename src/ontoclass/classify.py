@@ -12,14 +12,13 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .errors import OntoclassError, ParseError
+from .errors import OntoclassError
 from .features import WeightedMatrix
 
 log = logging.getLogger(__name__)
@@ -450,114 +449,3 @@ def c45_predict_all(tree: TreeNode, queries) -> list[str]:
             stack.append((node.left, rows[left]))
             stack.append((node.right, rows[~left]))
     return out.tolist()
-
-
-def _counts_fields(counts: dict[str, int]) -> str:
-    return "\t".join(f"{cat}={n}" for cat, n in sorted(counts.items()))
-
-
-def _parse_counts(fields: Sequence[str], lineno: int) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for f in fields:
-        cat, sep, n = f.rpartition("=")
-        if not sep:
-            raise ParseError(f"bad class count field {f!r}", lineno)
-        counts[cat] = int(n)
-    return counts
-
-
-def save_tree(tree: TreeNode, path: str | Path) -> None:
-    """Preorder flat file; thresholds as shortest round-trip decimals."""
-    lines = ["tree-model 1"]
-
-    def emit(node: TreeNode) -> None:
-        if node.is_leaf:
-            lines.append(f"leaf\t{node.category}\t{_counts_fields(node.class_counts)}")
-        else:
-            lines.append(
-                f"split\t{node.col}\t{node.descriptor}\t{node.threshold!r}"
-                f"\t{node.category}\t{_counts_fields(node.class_counts)}"
-            )
-            emit(node.left)
-            emit(node.right)
-
-    emit(tree)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def load_tree(path: str | Path) -> TreeNode:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "tree-model 1":
-        raise ParseError("not a tree-model file", 1)
-    pos = 1
-
-    def read() -> TreeNode:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("truncated tree", pos + 1)
-        fields = lines[pos].split("\t")
-        lineno = pos + 1
-        pos += 1
-        if fields[0] == "leaf":
-            if len(fields) < 3:
-                raise ParseError("bad leaf line", lineno)
-            return TreeNode(
-                class_counts=_parse_counts(fields[2:], lineno),
-                category=fields[1],
-            )
-        if fields[0] == "split":
-            if len(fields) < 6:
-                raise ParseError("bad split line", lineno)
-            left = read()
-            right = read()
-            return TreeNode(
-                class_counts=_parse_counts(fields[5:], lineno),
-                category=fields[4],
-                descriptor=fields[2],
-                col=int(fields[1]),
-                threshold=float(fields[3]),
-                left=left,
-                right=right,
-            )
-        raise ParseError(f"unknown node kind {fields[0]!r}", lineno)
-
-    tree = read()
-    if pos != len(lines):
-        raise ParseError("trailing content after tree", pos + 1)
-    return tree
-
-
-def save_knn(model: KnnModel, path: str | Path, matrix_ref: str) -> None:
-    """Parameter file pointing at a separately saved matrix."""
-    Path(path).write_text(
-        "knn-model 1\n"
-        f"matrix\t{matrix_ref}\n"
-        f"k\t{model.k}\n"
-        f"similarity\t{model.similarity}\n",
-        encoding="utf-8",
-    )
-
-
-def load_knn(path: str | Path, matrix: WeightedMatrix | None = None) -> KnnModel:
-    from .features import load_matrix
-
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "knn-model 1":
-        raise ParseError("not a knn-model file", 1)
-    params: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        key, sep, value = line.partition("\t")
-        if not sep:
-            raise ParseError(f"bad parameter line {line!r}", lineno)
-        params[key] = value
-    if matrix is None:
-        ref = Path(params["matrix"])
-        if not ref.is_absolute():
-            ref = path.parent / ref
-        matrix = load_matrix(ref)
-    return KnnModel(
-        matrix=matrix,
-        k=int(params["k"]),
-        similarity=params.get("similarity", "cosine"),
-    )

@@ -13,9 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-from scipy import sparse
-
 from .config import ExperimentConfig, load_config, resolve_path
 from .corpus import (
     assign_labels,
@@ -26,17 +23,16 @@ from .corpus import (
     save_corpus_jsonl,
 )
 from .errors import ConfigError, OntoclassError
-from .evaluate import read_report_csv, render_table, run_experiment, write_report
-from .features import (
-    WeightedMatrix,
-    compute_category_stats,
-    descriptor_counts,
-    save_matrix,
-    select_top_k,
+from .evaluate import (
+    read_report_csv,
+    render_table,
+    representation_vectors,
+    run_experiment,
+    write_report,
 )
-from .mapping import stems_only
+from .features import WeightedMatrix, count_matrix, save_matrix, select_top_k
 from .ontology import import_mesh_ascii, load_ontology
-from .preprocess import load_stoplist, preprocess_corpus
+from .preprocess import load_stoplist
 
 log = logging.getLogger(__name__)
 
@@ -123,38 +119,28 @@ def _cmd_ontology_check(args: argparse.Namespace) -> int:
 
 
 def _vectors_for(config: ExperimentConfig, base: Path):
-    from .evaluate import _representation_vectors
-
     corpus = _load_labeled_corpus(config, base)
     ontology = None
     if config.representation != "stems":
         ontology = _load_ontology(config, base)
-    return corpus, _representation_vectors(corpus, ontology, config)
+    return corpus, representation_vectors(corpus, ontology, config)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
     config, base = _require_config(args)
-    corpus, vectors = _vectors_for(config, base)
-    descriptors = sorted({d for v in vectors for d in descriptor_counts(v)})
-    col_of = {d: i for i, d in enumerate(descriptors)}
-    rows, cols, data = [], [], []
-    for r, v in enumerate(vectors):
-        for desc, n in descriptor_counts(v).items():
-            rows.append(r)
-            cols.append(col_of[desc])
-            data.append(float(n))
+    _, vectors = _vectors_for(config, base)
+    counts = count_matrix(vectors)
+    order = sorted(range(len(counts.descriptors)),
+                   key=counts.descriptors.__getitem__)
     matrix = WeightedMatrix(
-        doc_ids=tuple(v.doc_id for v in vectors),
-        descriptors=tuple(descriptors),
-        values=sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(vectors), len(descriptors)),
-            dtype=np.float64,
-        ),
-        labels=tuple(v.labels[0] if v.labels else "" for v in vectors),
+        doc_ids=counts.doc_ids,
+        descriptors=tuple(counts.descriptors[c] for c in order),
+        values=counts.values[:, order],
+        labels=counts.labels,
     )
     out = _out_dir(config, base) / "vectors.mtx"
     save_matrix(matrix, out)
-    print(f"{len(vectors)} documents x {len(descriptors)} descriptors -> {out}")
+    print(f"{len(vectors)} documents x {len(order)} descriptors -> {out}")
     return 0
 
 

@@ -12,7 +12,11 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .classify import SIMILARITIES
+from .corpus import LABEL_POLICIES
 from .errors import ConfigError, open_utf8
+from .features import WEIGHTINGS
+from .mapping import DISAMBIGUATIONS, HYPERONYM_VARIANTS, STRATEGIES
 
 CORPUS_FORMATS = ("ohsumed", "textdir", "jsonl")
 ONTOLOGY_FORMATS = ("tsv", "mesh-ascii")
@@ -107,20 +111,16 @@ def validate_config(config: ExperimentConfig, base_dir: str | Path = ".") -> Non
     """Check enums, numeric ranges and path existence; raises ConfigError."""
     base = Path(base_dir)
     _check_enum(config.corpus_format, CORPUS_FORMATS, "corpus.format")
-    _check_enum(config.label_policy, ("first-label", "duplicate"),
-                "corpus.label_policy")
+    _check_enum(config.label_policy, LABEL_POLICIES, "corpus.label_policy")
     _check_enum(config.ontology_format, ONTOLOGY_FORMATS, "ontology.format")
     _check_enum(config.representation, REPRESENTATIONS, "mapping.representation")
-    _check_enum(config.strategy, ("AddConcept", "ReplaceTerms", "ConceptOnly"),
-                "mapping.strategy")
-    _check_enum(config.disambiguation, ("AllConcepts", "FirstConcept"),
-                "mapping.disambiguation")
-    _check_enum(config.hyperonym_variant, ("additive", "hyponyms-only"),
+    _check_enum(config.strategy, STRATEGIES, "mapping.strategy")
+    _check_enum(config.disambiguation, DISAMBIGUATIONS, "mapping.disambiguation")
+    _check_enum(config.hyperonym_variant, HYPERONYM_VARIANTS,
                 "mapping.hyperonym_variant")
-    _check_enum(config.weighting, ("tfidf", "tf", "binary"), "features.weighting")
+    _check_enum(config.weighting, WEIGHTINGS, "features.weighting")
     _check_enum(config.classifier, CLASSIFIERS, "classify.classifier")
-    _check_enum(config.knn_similarity, ("cosine", "euclidean"),
-                "classify.knn_similarity")
+    _check_enum(config.knn_similarity, SIMILARITIES, "classify.knn_similarity")
 
     if not config.corpus_path:
         raise ConfigError("corpus.path", "required")

@@ -27,8 +27,8 @@ from .classify import (
 from .config import ExperimentConfig
 from .corpus import Corpus
 from .errors import ExperimentError, OntoclassError, ParseError
-from .features import build_matrix, compute_category_stats, select_top_k
-from .mapping import MappingConfig, map_corpus, stems_only
+from .features import build_matrix, select_top_k
+from .mapping import HybridVector, MappingConfig, map_corpus, stems_only
 from .ontology import Ontology
 from .preprocess import load_stoplist, preprocess_corpus
 
@@ -126,11 +126,12 @@ def _confusion_to_metrics(
     )
 
 
-def _representation_vectors(
+def representation_vectors(
     corpus: Corpus,
     ontology: Ontology | None,
     config: ExperimentConfig,
-):
+) -> list[HybridVector]:
+    """Preprocess the corpus and map it to the configured representation."""
     stopwords = load_stoplist(config.stoplist)
     term_vectors = preprocess_corpus(corpus, stopwords)
     if config.representation == "stems":
@@ -173,7 +174,7 @@ def run_experiment(
     categories = corpus.categories
     if not categories:
         raise OntoclassError("corpus has no category list")
-    vectors = _representation_vectors(corpus, ontology, config)
+    vectors = representation_vectors(corpus, ontology, config)
     labels = {v.doc_id: v.labels[0] for v in vectors}
 
     if config.n_folds == 1:
@@ -196,15 +197,12 @@ def run_experiment(
             recorder = None
             if fit_recorder is not None:
                 recorder = lambda doc_id: fit_recorder(fold, doc_id)
-            stats = compute_category_stats(
-                train, categories=categories, recorder=recorder
-            )
             space = select_top_k(
                 train, k=config.k_features, categories=categories,
                 recorder=recorder,
             )
-            train_m = build_matrix(train, space, stats, weighting=config.weighting)
-            test_m = build_matrix(test, space, stats, weighting=config.weighting)
+            train_m = build_matrix(train, space, weighting=config.weighting)
+            test_m = build_matrix(test, space, weighting=config.weighting)
             if config.classifier == "knn":
                 model = knn_train(train_m, k=config.knn_k,
                                   similarity=config.knn_similarity)
@@ -314,44 +312,54 @@ def write_report(report: EvalReport, out_dir: str | Path) -> tuple[Path, Path]:
 
 
 def read_report_csv(path: str | Path) -> EvalReport:
-    """Rebuild a report from its CSV rendering."""
+    """Rebuild a report from its CSV rendering; a malformed row raises
+    ParseError with its line number."""
     echo: list[tuple[str, str]] = []
-    rows: list[list[str]] = []
+    data_lines: list[str] = []
+    line_numbers: list[int] = []
     with open(path, encoding="utf-8") as fh:
-        data_lines: list[str] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("# "):
                 key, _, value = line[2:].rstrip("\n").partition(" = ")
                 echo.append((key, value))
             else:
                 data_lines.append(line)
+                line_numbers.append(lineno)
     reader = csv.reader(data_lines)
     header = next(reader, None)
     if header != list(_CSV_COLUMNS):
-        raise ParseError("unrecognized report header", 1)
-    rows = list(reader)
+        raise ParseError("unrecognized report header",
+                         line_numbers[0] if line_numbers else 1)
 
-    def metric(row: list[str]) -> CategoryMetrics:
-        return CategoryMetrics(
-            category=row[1], tp=int(row[2]), fp=int(row[3]), fn=int(row[4]),
-            precision=float(row[5]), recall=float(row[6]),
-            f_measure=float(row[7]),
-        )
-
-    pooled = [metric(r) for r in rows if r[0] == "pooled" and r[1] != "AvG"]
-    macro_rows = [r for r in rows if r[0] == "pooled" and r[1] == "AvG"]
-    if not pooled or not macro_rows:
-        raise ParseError("report has no pooled rows", 2)
+    pooled: list[CategoryMetrics] = []
+    macro_f: float | None = None
     folds: dict[int, list[CategoryMetrics]] = {}
-    for r in rows:
-        if r[0] not in ("pooled",):
-            folds.setdefault(int(r[0]), []).append(metric(r))
-    per_fold = tuple(
-        tuple(folds[i]) for i in sorted(folds)
-    )
+    for row in reader:
+        lineno = line_numbers[reader.line_num - 1]
+        if len(row) != len(_CSV_COLUMNS):
+            raise ParseError(
+                f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}", lineno
+            )
+        try:
+            if row[0] == "pooled" and row[1] == "AvG":
+                macro_f = float(row[7])
+                continue
+            m = CategoryMetrics(
+                category=row[1], tp=int(row[2]), fp=int(row[3]), fn=int(row[4]),
+                precision=float(row[5]), recall=float(row[6]),
+                f_measure=float(row[7]),
+            )
+            if row[0] == "pooled":
+                pooled.append(m)
+            else:
+                folds.setdefault(int(row[0]), []).append(m)
+        except ValueError as exc:
+            raise ParseError(f"bad report row: {exc}", lineno) from None
+    if not pooled or macro_f is None:
+        raise ParseError("report has no pooled rows", 2)
     return EvalReport(
         per_category=tuple(pooled),
-        macro_f=float(macro_rows[0][7]),
+        macro_f=macro_f,
         config_echo=tuple(echo),
-        per_fold=per_fold,
+        per_fold=tuple(tuple(folds[i]) for i in sorted(folds)),
     )

@@ -3,21 +3,23 @@ association scoring, per-category top-K selection, and the weighted
 document-by-descriptor matrix fed to the classifiers.
 
 Descriptors live in one namespace: stems are prefixed "t:" and concept
-ids "c:", so a stem can never collide with a concept id.
+ids "c:", so a stem can never collide with a concept id. Selection,
+weighting and `ontoclass map` all start from one raw-count matrix,
+`count_matrix`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .errors import OntoclassError, ParseError
+from .errors import OntoclassError
 from .mapping import HybridVector
 
 log = logging.getLogger(__name__)
@@ -97,74 +99,58 @@ def chi_square(table: ContingencyTable) -> float:
 
 
 @dataclass(frozen=True)
-class CategoryStats:
-    """Training-side frequency statistics.
+class WeightedMatrix:
+    """Documents as weighted rows over the selected descriptors."""
 
-    `tf` sums descriptor occurrences over each category's documents; `df`
-    counts the categories a descriptor occurs in (so 1 <= df <= the
-    number of categories).
-    """
-
-    nbr_category: int
-    tf: dict[tuple[str, str], int]
-    df: dict[str, int]
-    categories: tuple[str, ...]
+    doc_ids: tuple[str, ...]
+    descriptors: tuple[str, ...]
+    values: sparse.csr_matrix
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        for desc, d in self.df.items():
-            if not 1 <= d <= self.nbr_category:
-                raise OntoclassError(
-                    f"df({desc!r}) = {d} outside [1, {self.nbr_category}]"
-                )
+        if self.values.shape != (len(self.doc_ids), len(self.descriptors)):
+            raise OntoclassError(
+                f"matrix shape {self.values.shape} does not match "
+                f"{len(self.doc_ids)} docs x {len(self.descriptors)} descriptors"
+            )
+        if len(self.labels) != len(self.doc_ids):
+            raise OntoclassError("one label per row required")
+        if self.values.nnz and self.values.data.min() < 0:
+            raise OntoclassError("negative weight in matrix")
 
 
-def _label_of(vector: HybridVector, labels: Mapping[str, str] | None) -> str:
-    if labels is not None:
-        try:
-            return labels[vector.doc_id]
-        except KeyError:
-            raise OntoclassError(f"no label for document {vector.doc_id!r}") from None
-    if not vector.labels:
-        raise OntoclassError(f"document {vector.doc_id!r} has no label")
-    return vector.labels[0]
-
-
-def _category_order(
-    vectors: Sequence[HybridVector],
-    labels: Mapping[str, str] | None,
-    categories: Sequence[str] | None,
-) -> tuple[str, ...]:
-    if categories is not None:
-        return tuple(categories)
-    seen: list[str] = []
+def _require_labels(vectors: Sequence[HybridVector]) -> None:
     for v in vectors:
-        cat = _label_of(v, labels)
-        if cat not in seen:
-            seen.append(cat)
-    return tuple(seen)
+        if not v.labels:
+            raise OntoclassError(f"document {v.doc_id!r} has no label")
 
 
-def compute_category_stats(
-    vectors: Sequence[HybridVector],
-    labels: Mapping[str, str] | None = None,
-    categories: Sequence[str] | None = None,
-    recorder: Recorder | None = None,
-) -> CategoryStats:
-    """Accumulate per-category tf and category-level df over documents."""
-    if not vectors:
-        raise OntoclassError("no documents to fit statistics on")
-    cats = _category_order(vectors, labels, categories)
-    tf: dict[tuple[str, str], int] = {}
-    seen_in: dict[str, set[str]] = {}
+def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
+    """Raw descriptor counts, one row per document.
+
+    Columns follow the order in which descriptors are first seen; an
+    unlabeled document gets the label "".
+    """
+    col_of: dict[str, int] = {}
+    indptr = [0]
+    indices: list[int] = []
+    data: list[int] = []
     for v in vectors:
-        if recorder is not None:
-            recorder(v.doc_id)
-        cat = _label_of(v, labels)
-        for desc, n in descriptor_counts(v).items():
-            tf[(cat, desc)] = tf.get((cat, desc), 0) + n
-            seen_in.setdefault(desc, set()).add(cat)
-    df = {desc: len(cats_with) for desc, cats_with in seen_in.items()}
-    return CategoryStats(nbr_category=len(cats), tf=tf, df=df, categories=cats)
+        counts = descriptor_counts(v)
+        indices.extend(col_of.setdefault(d, len(col_of)) for d in counts)
+        data.extend(counts.values())
+        indptr.append(len(indices))
+    values = sparse.csr_matrix(
+        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(len(vectors), len(col_of)),
+    )
+    return WeightedMatrix(
+        doc_ids=tuple(v.doc_id for v in vectors),
+        descriptors=tuple(col_of),
+        values=values,
+        labels=tuple(v.labels[0] if v.labels else "" for v in vectors),
+    )
 
 
 @dataclass(frozen=True)
@@ -174,13 +160,23 @@ class FeatureSpace:
     `descriptors` is the deduplicated union of each category's top-K:
     categories in corpus order, descriptors score-descending within each,
     first occurrence wins. `per_category_scores` keeps every computed
-    chi-square value, selected or not.
+    chi-square value, selected or not. `selected` has one entry per
+    category, and `df[i]` counts the training categories that hold
+    `descriptors[i]`.
     """
 
     descriptors: tuple[str, ...]
     per_category_scores: dict[tuple[str, str], float]
     k_per_category: int
-    selected: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    selected: dict[str, tuple[str, ...]]
+    df: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.df) != len(self.descriptors):
+            raise OntoclassError("one df per selected descriptor required")
+        n_categories = len(self.selected)
+        if any(d < 1 or d > n_categories for d in self.df):
+            raise OntoclassError(f"df must be in [1, {n_categories}]")
 
     def index(self) -> dict[str, int]:
         return {d: i for i, d in enumerate(self.descriptors)}
@@ -188,7 +184,6 @@ class FeatureSpace:
 
 def select_top_k(
     vectors: Sequence[HybridVector],
-    labels: Mapping[str, str] | None = None,
     k: int = DEFAULT_K,
     categories: Sequence[str] | None = None,
     recorder: Recorder | None = None,
@@ -200,56 +195,52 @@ def select_top_k(
     fewer than K positively scoring descriptors contributes all of them.
     Ties break toward the lexicographically smaller descriptor. Chi-square
     is computed once per distinct contingency table, not once per pair.
+    Categories default to the labels in first-appearance order.
     """
     if k < 1:
         raise OntoclassError(f"k must be >= 1, got {k}")
     if not vectors:
         raise OntoclassError("no documents to select features from")
-    cats = _category_order(vectors, labels, categories)
+    if recorder is not None:
+        for v in vectors:
+            recorder(v.doc_id)
+    _require_labels(vectors)
+    counts = count_matrix(vectors)
+    cats = tuple(dict.fromkeys(counts.labels) if categories is None else categories)
     if len(cats) < 2:
         raise OntoclassError("feature selection needs at least 2 categories")
-
-    # One walk: each document's category row and the descriptors it holds,
-    # numbered in first-seen order (the order of `per_category_scores`).
     row_of: dict[str, int] = {}
     for cat in cats:
         row_of.setdefault(cat, len(row_of))
-    seen: dict[str, int] = {}
-    doc_rows: list[int] = []
-    pair_rows: list[int] = []
-    pair_seen: list[int] = []
-    for v in vectors:
-        if recorder is not None:
-            recorder(v.doc_id)
-        cat = _label_of(v, labels)
-        row = row_of.get(cat)
-        if row is None:
-            raise OntoclassError(f"label {cat!r} outside the category list")
-        doc_rows.append(row)
-        descs = descriptor_counts(v)
-        pair_rows.extend([row] * len(descs))
-        pair_seen.extend(seen.setdefault(d, len(seen)) for d in descs)
+    try:
+        doc_rows = np.array([row_of[lab] for lab in counts.labels], dtype=np.int64)
+    except KeyError as exc:
+        raise OntoclassError(
+            f"label {exc.args[0]!r} outside the category list"
+        ) from None
 
-    # Columns follow sorted() string order, so a score tie goes to the
-    # lower column, i.e. the lexicographically smaller descriptor.
-    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(seen)
-    seen_order = list(seen)
+    # Count columns are in first-seen order (the order of
+    # `per_category_scores`). Score columns follow sorted() string order,
+    # so a score tie goes to the lower column, i.e. the smaller descriptor.
+    seen_order = counts.descriptors
+    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(seen_order)
     by_string = sorted(range(n_desc), key=seen_order.__getitem__)
     vocab = [seen_order[i] for i in by_string]
     column_of_seen = np.empty(n_desc, dtype=np.int64)
     column_of_seen[by_string] = np.arange(n_desc)
+    x = counts.values
     n11_grid = np.bincount(
-        np.asarray(pair_rows, dtype=np.int64) * n_desc
-        + column_of_seen[np.asarray(pair_seen, dtype=np.int64)],
+        np.repeat(doc_rows, np.diff(x.indptr)) * n_desc
+        + column_of_seen[x.indices],
         minlength=n_rows * n_desc,
     ).reshape(n_rows, n_desc)
     doc_freq = n11_grid.sum(axis=0)
-    sizes = np.bincount(np.asarray(doc_rows, dtype=np.int64), minlength=n_rows)
+    category_freq = np.count_nonzero(n11_grid, axis=0)
+    sizes = np.bincount(doc_rows, minlength=n_rows)
 
     scores: dict[tuple[str, str], float] = {}
     selected: dict[str, tuple[str, ...]] = {}
-    union: list[str] = []
-    in_union: set[str] = set()
+    union: dict[int, None] = {}
     for cat in cats:
         row = row_of[cat]
         size = int(sizes[row])
@@ -274,113 +265,74 @@ def select_top_k(
         ))
         positive = np.flatnonzero(row_scores > 0)
         order = np.lexsort((positive, -row_scores[positive]))
-        chosen = tuple(vocab[c] for c in positive[order[:k]].tolist())
-        selected[cat] = chosen
-        for desc in chosen:
-            if desc not in in_union:
-                in_union.add(desc)
-                union.append(desc)
+        chosen = positive[order[:k]].tolist()
+        selected[cat] = tuple(vocab[c] for c in chosen)
+        union.update(dict.fromkeys(chosen))
 
     return FeatureSpace(
-        descriptors=tuple(union),
+        descriptors=tuple(vocab[c] for c in union),
         per_category_scores=scores,
         k_per_category=k,
         selected=selected,
+        df=tuple(category_freq[list(union)].tolist()),
     )
-
-
-@dataclass(frozen=True)
-class WeightedMatrix:
-    """Documents as weighted rows over the selected descriptors."""
-
-    doc_ids: tuple[str, ...]
-    descriptors: tuple[str, ...]
-    values: sparse.csr_matrix
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.doc_ids), len(self.descriptors)):
-            raise OntoclassError(
-                f"matrix shape {self.values.shape} does not match "
-                f"{len(self.doc_ids)} docs x {len(self.descriptors)} descriptors"
-            )
-        if len(self.labels) != len(self.doc_ids):
-            raise OntoclassError("one label per row required")
-        if self.values.nnz and self.values.data.min() < 0:
-            raise OntoclassError("negative weight in matrix")
 
 
 def build_matrix(
     vectors: Sequence[HybridVector],
     feature_space: FeatureSpace,
-    category_stats: CategoryStats,
-    labels: Mapping[str, str] | None = None,
     weighting: str = "tfidf",
 ) -> WeightedMatrix:
     """Weight documents over the selected descriptors; L2-normalize rows.
 
     The tfidf weighting multiplies each document-level raw frequency by
-    ln(category count / category df). A descriptor the training stats
-    never saw gets df = category count, hence weight 0. Documents whose
-    descriptors were all deselected come out as zero rows (flagged in the
-    log, kept in the matrix).
+    ln(category count / category df), with df from the selection's
+    training counts. Zero weights are dropped. Documents whose descriptors
+    were all deselected come out as zero rows (flagged in the log, kept
+    in the matrix).
     """
     if weighting not in WEIGHTINGS:
         raise OntoclassError(f"unknown weighting {weighting!r}")
+    _require_labels(vectors)
+    counts = count_matrix(vectors)
     col_of = feature_space.index()
-    nbr = category_stats.nbr_category
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    data: list[float] = []
-    doc_ids: list[str] = []
-    row_labels: list[str] = []
-    missing: set[str] = set()
-    zero_rows = 0
-    for r, v in enumerate(vectors):
-        doc_ids.append(v.doc_id)
-        row_labels.append(_label_of(v, labels))
-        nnz_before = len(data)
-        for desc, n in descriptor_counts(v).items():
-            c = col_of.get(desc)
-            if c is None:
-                continue
-            if weighting == "binary":
-                w = 1.0
-            elif weighting == "tf":
-                w = float(n)
-            else:
-                df = category_stats.df.get(desc)
-                if df is None:
-                    missing.add(desc)
-                    continue
-                w = tfidf_weight(n, df, nbr)
-            if w:
-                row_idx.append(r)
-                col_idx.append(c)
-                data.append(w)
-        if len(data) == nnz_before:
-            zero_rows += 1
-    if missing:
-        log.warning(
-            "%d selected descriptor(s) absent from training stats; weighted 0",
-            len(missing),
+    # each count column's place among the selected descriptors, or -1
+    target = np.array(
+        [col_of.get(d, -1) for d in counts.descriptors], dtype=np.int64
+    )
+    x = counts.values
+    cols = target[x.indices]
+    keep = cols >= 0
+    rows = np.repeat(np.arange(len(vectors)), np.diff(x.indptr))[keep]
+    cols = cols[keep]
+    data = x.data[keep]
+    if weighting == "binary":
+        data = np.ones_like(data)
+    elif weighting == "tfidf":
+        n_categories = len(feature_space.selected)
+        idf = np.array(
+            [tfidf_weight(1, df, n_categories) for df in feature_space.df],
+            dtype=np.float64,
         )
-    if zero_rows:
-        log.warning("%d document(s) produced all-zero rows", zero_rows)
+        data = data * idf[cols]
+    nonzero = data != 0
 
     mat = sparse.csr_matrix(
-        (data, (row_idx, col_idx)),
+        (data[nonzero], (rows[nonzero], cols[nonzero])),
         shape=(len(vectors), len(feature_space.descriptors)),
         dtype=np.float64,
     )
+    zero_rows = int(np.count_nonzero(np.diff(mat.indptr) == 0))
+    if zero_rows:
+        log.warning("%d document(s) produced all-zero rows", zero_rows)
     norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     mat = sparse.diags(scale) @ mat
     return WeightedMatrix(
-        doc_ids=tuple(doc_ids),
+        doc_ids=counts.doc_ids,
         descriptors=tuple(feature_space.descriptors),
         values=mat.tocsr(),
-        labels=tuple(row_labels),
+        labels=counts.labels,
     )
 
 
@@ -401,31 +353,4 @@ def save_matrix(matrix: WeightedMatrix, path: str | Path) -> None:
     )
     path.with_suffix(path.suffix + ".labels").write_text(
         "".join(f"{lab}\n" for lab in matrix.labels), encoding="utf-8"
-    )
-
-
-def load_matrix(path: str | Path) -> WeightedMatrix:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ParseError("expected header 'rows cols nnz'", 1)
-        n_rows, n_cols, nnz = (int(x) for x in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ParseError("expected 'row col value' triple", i + 2)
-            rows[i], cols[i], vals[i] = int(parts[0]), int(parts[1]), float(parts[2])
-    doc_ids = path.with_suffix(path.suffix + ".rows").read_text("utf-8").splitlines()
-    descriptors = path.with_suffix(path.suffix + ".cols").read_text("utf-8").splitlines()
-    labels = path.with_suffix(path.suffix + ".labels").read_text("utf-8").splitlines()
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return WeightedMatrix(
-        doc_ids=tuple(doc_ids),
-        descriptors=tuple(descriptors),
-        values=mat,
-        labels=tuple(labels),
     )

@@ -25,14 +25,10 @@ from ontoclass.classify import (
     knn_predict,
     knn_predict_all,
     knn_train,
-    load_knn,
-    load_tree,
     prune_tree,
-    save_knn,
-    save_tree,
 )
-from ontoclass.errors import OntoclassError, ParseError
-from ontoclass.features import WeightedMatrix, save_matrix
+from ontoclass.errors import OntoclassError
+from ontoclass.features import WeightedMatrix
 
 
 def make_matrix(rows, labels, descriptors=None):
@@ -731,48 +727,3 @@ class TestC45BoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * array_bytes, f"peak {peak} bytes"
-
-
-class TestSerialization:
-    def test_tree_round_trip(self, tmp_path):
-        m = make_matrix(*separable_8rows())
-        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
-        path = tmp_path / "model.tree"
-        save_tree(tree, path)
-        back = load_tree(path)
-        assert back == tree
-        assert c45_predict_all(back, m) == c45_predict_all(tree, m)
-
-    def test_tree_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.tree"
-        path.write_text("knn-model 1\n")
-        with pytest.raises(ParseError):
-            load_tree(path)
-
-    def test_tree_rejects_truncation(self, tmp_path):
-        m = make_matrix(*separable_8rows())
-        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
-        path = tmp_path / "model.tree"
-        save_tree(tree, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ParseError):
-            load_tree(path)
-
-    def test_knn_round_trip_with_matrix_ref(self, tmp_path):
-        rows = [unit(1, 0), unit(1, 2), unit(0, 1)]
-        m = make_matrix(rows, ["A", "B", "B"])
-        save_matrix(m, tmp_path / "train.mtx")
-        model = knn_train(m, k=2, similarity="euclidean")
-        save_knn(model, tmp_path / "model.knn", "train.mtx")
-        back = load_knn(tmp_path / "model.knn")
-        assert back.k == 2
-        assert back.similarity == "euclidean"
-        assert back.matrix.labels == m.labels
-        assert (back.matrix.values != m.values).nnz == 0
-
-    def test_knn_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.knn"
-        path.write_text("tree-model 1\n")
-        with pytest.raises(ParseError):
-            load_knn(path, matrix=make_matrix([[1.0]], ["A"]))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ontoclass.cli import CONFIG_ENV, main
@@ -105,6 +107,27 @@ class TestSubcommands:
             assert float(score) > 0
         assert cats == {"Heart Disease", "Renal Disease"}
 
+    def test_map_and_select_bytes_pinned(self, workspace, capsys):
+        """Digests taken when `map` built its own matrix and `select`
+        walked the vectors on its own."""
+        assert run(workspace, "map") == 0
+        assert run(workspace, "select") == 0
+        digests = {
+            "vectors.mtx":
+                "78d9c189118a96d22a23d1ae1ed6fcc26de939144cfe0710477a710ca37c9ac6",
+            "vectors.mtx.rows":
+                "ec9632e5679aa196e626267ee806fe1ff1a871131bcaca973d9e6f76bd1c6c48",
+            "vectors.mtx.cols":
+                "c7d485f393c3789acc0aaa008bf48e093118ea9e28ff2dfe4f09fafa08e0bc7a",
+            "vectors.mtx.labels":
+                "8df71c1ba209bf2d073821e208893df0c40a585834e309d23906b1696b11787e",
+            "features.tsv":
+                "1dff13e9bf10f91094113d1699a729b95ecce7522ec96e3db73f5178093b079d",
+        }
+        for name, digest in digests.items():
+            data = (workspace / "out" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_evaluate_writes_report(self, workspace, capsys):
         assert run(workspace, "evaluate") == 0
         out = capsys.readouterr().out
@@ -180,6 +203,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error [ontology-check] ParseError:")
         assert "onto.tsv: not UTF-8 (byte 0xe9)" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bad_row", [
+        "x,Heart Disease,1,0,0,1.0,1.0,1.0",
+        "0,Heart Disease,one,0,0,1.0,1.0,1.0",
+        "0,Heart Disease,1,0",
+    ])
+    def test_malformed_report_exits_1_naming_line(self, workspace, capsys,
+                                                  bad_row):
+        assert run(workspace, "evaluate") == 0
+        path = workspace / "out" / "report.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        target = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+        lines[target] = bad_row
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "report") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [report] ParseError: ")
+        assert f"line {target + 1}" in err
         assert len(err.splitlines()) == 1
 
     def test_env_var_supplies_config(self, workspace, monkeypatch, capsys):

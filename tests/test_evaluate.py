@@ -249,6 +249,21 @@ class TestReportRendering:
         with pytest.raises(ParseError):
             read_report_csv(path)
 
+    @pytest.mark.parametrize("bad_row, damage", [
+        ("x,A,1,0,0,1.0,1.0,1.0", "a fold that is not a number"),
+        ("0,A,one,0,0,1.0,1.0,1.0", "a count that is not a number"),
+        ("0,A,1,0", "four fields"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, bad_row, damage):
+        lines = report_to_csv(self.small_report()).splitlines()
+        target = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+        lines[target] = bad_row
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_report_csv(path)
+        assert err.value.line == target + 1, damage
+
 
 class TestReportBytesPinned:
     """report.csv must not change by a byte for a fixed config. The
@@ -268,6 +283,33 @@ class TestReportBytesPinned:
         config = ExperimentConfig(
             classifier=classifier, representation=representation,
             knn_k=5, n_folds=4, seed=7, k_features=6,
+        )
+        csv = report_to_csv(run_experiment(fx.corpus, onto, config))
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("classifier, representation, option, value, digest", [
+        ("knn", "concepts_hyperonyms", "weighting", "tf",
+         "650430680f52ac7359a6a5afdce6a54200a36046bf51e3fd4c2b96f5a6466d74"),
+        ("knn", "concepts_hyperonyms", "weighting", "binary",
+         "f86c3cb5453f0af876a6da878becfed64614228b569234871f5191f2e2d4bf39"),
+        ("c45", "stems", "weighting", "tf",
+         "86622d713e233333cad7350b45dff5e79c0dc9818d8986466de74411bdaf2e87"),
+        ("c45", "stems", "weighting", "binary",
+         "1f3e4fc78babdcbaa635014f4521b1e19bf6c7af21547de8876e20b11e67443f"),
+        ("knn", "concepts_hyperonyms", "knn_similarity", "euclidean",
+         "79dc24915971be3de7a88d66480e03bce0f9b08e226fd702d87068c0375e7d5a"),
+    ])
+    def test_option_digest(self, classifier, representation, option, value,
+                           digest):
+        """The other weightings and the euclidean KNN, pinned from the
+        pipeline that fitted separate category statistics."""
+        fx = synthcorpus.sibling_merge_fixture(seed=3)
+        onto = None
+        if representation != "stems":
+            onto = build_ontology(list(fx.ontology_rows), stopwords=load_stoplist())
+        config = ExperimentConfig(
+            classifier=classifier, representation=representation,
+            knn_k=5, n_folds=4, seed=7, k_features=6, **{option: value},
         )
         csv = report_to_csv(run_experiment(fx.corpus, onto, config))
         assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest

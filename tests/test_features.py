@@ -5,19 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from scipy import sparse
 
 from ontoclass.errors import OntoclassError
 from ontoclass.features import (
-    CategoryStats,
     ContingencyTable,
     FeatureSpace,
     build_matrix,
     chi_square,
-    compute_category_stats,
+    count_matrix,
     descriptor_counts,
-    load_matrix,
     save_matrix,
     select_top_k,
     tfidf_weight,
@@ -139,54 +138,34 @@ class TestDescriptorCounts:
         assert descriptor_counts(v) == {"t:cold": 2, "c:cold": 5}
 
 
-class TestCategoryStats:
+class TestCountMatrix:
     def fixture(self):
         return [
             hv("d1", {"a": 2, "b": 1}, label="X"),
             hv("d2", {"a": 1}, {"K9": 3}, label="X"),
-            hv("d3", {"b": 2}, label="Y"),
+            hv("d3", {"b": 2, "c": 4}),
         ]
 
-    def test_tf_sums_over_category(self):
-        stats = compute_category_stats(self.fixture())
-        assert stats.tf[("X", "t:a")] == 3
-        assert stats.tf[("X", "t:b")] == 1
-        assert stats.tf[("Y", "t:b")] == 2
-        assert stats.tf[("X", "c:K9")] == 3
-        assert ("Y", "t:a") not in stats.tf
+    def test_columns_in_first_seen_order(self):
+        counts = count_matrix(self.fixture())
+        assert counts.descriptors == ("t:a", "t:b", "c:K9", "t:c")
 
-    def test_df_counts_categories_not_documents(self):
-        stats = compute_category_stats(self.fixture())
-        assert stats.df == {"t:a": 1, "t:b": 2, "c:K9": 1}
-        assert stats.nbr_category == 2
+    def test_raw_counts(self):
+        counts = count_matrix(self.fixture())
+        assert counts.values.toarray().tolist() == [
+            [2.0, 1.0, 0.0, 0.0],
+            [1.0, 0.0, 3.0, 0.0],
+            [0.0, 2.0, 0.0, 4.0],
+        ]
 
-    def test_category_order_is_first_appearance(self):
-        stats = compute_category_stats(self.fixture())
-        assert stats.categories == ("X", "Y")
+    def test_ids_and_labels_in_input_order(self):
+        counts = count_matrix(self.fixture())
+        assert counts.doc_ids == ("d1", "d2", "d3")
+        assert counts.labels == ("X", "X", "")
 
-    def test_explicit_label_mapping_wins(self):
-        vecs = self.fixture()
-        stats = compute_category_stats(
-            vecs, labels={"d1": "Y", "d2": "Y", "d3": "X"}
-        )
-        assert stats.tf[("Y", "t:a")] == 3
-
-    def test_recorder_sees_every_document(self):
-        seen = []
-        compute_category_stats(self.fixture(), recorder=seen.append)
-        assert seen == ["d1", "d2", "d3"]
-
-    def test_unlabeled_document_rejected(self):
-        with pytest.raises(OntoclassError):
-            compute_category_stats([hv("d1", {"a": 1})])
-
-    def test_df_bounds_enforced(self):
-        with pytest.raises(OntoclassError):
-            CategoryStats(nbr_category=2, tf={}, df={"t:a": 3}, categories=("X", "Y"))
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(OntoclassError):
-            compute_category_stats([])
+    def test_empty_input(self):
+        counts = count_matrix([])
+        assert counts.values.shape == (0, 0)
 
 
 def marker_fixture():
@@ -271,6 +250,8 @@ class TestSelectTopK:
             select_top_k([], k=1)
         with pytest.raises(OntoclassError):
             select_top_k([hv("d", {"a": 1}, label="X")], k=1)
+        with pytest.raises(OntoclassError, match="'u1' has no label"):
+            select_top_k(marker_fixture() + [hv("u1", {"a": 1})], k=1)
 
     def test_label_outside_category_list_rejected(self):
         with pytest.raises(OntoclassError):
@@ -279,7 +260,62 @@ class TestSelectTopK:
     def test_recorder_sees_every_document(self):
         seen = []
         select_top_k(marker_fixture(), k=1, recorder=seen.append)
-        assert len(seen) == 12
+        assert seen == [v.doc_id for v in marker_fixture()]
+
+
+class TestCategoryStats:
+    """The per-category statistics select_top_k gathers: category order,
+    category df and the checks on its input."""
+
+    def fixture(self):
+        return [
+            hv("d1", {"a": 2, "b": 1}, label="X"),
+            hv("d2", {"a": 1}, {"K9": 3}, label="X"),
+            hv("d3", {"b": 2}, label="Y"),
+        ]
+
+    def test_df_counts_categories_not_documents(self):
+        space = select_top_k(self.fixture(), k=50)
+        assert dict(zip(space.descriptors, space.df)) == {
+            "t:a": 1, "t:b": 2, "c:K9": 1,
+        }
+        space = select_top_k(marker_fixture(), k=50)
+        df = dict(zip(space.descriptors, space.df))
+        # mx: 4 documents, all in X; ybias: 3 documents in Y
+        assert df == {"t:mx": 1, "t:ybias": 1, "t:zbias": 1}
+        vecs = marker_fixture() + [hv("z9", {"mx": 1}, label="Z")]
+        space = select_top_k(vecs, k=50)
+        assert dict(zip(space.descriptors, space.df))["t:mx"] == 2
+
+    def test_category_order_is_first_appearance(self):
+        assert list(select_top_k(self.fixture(), k=1).selected) == ["X", "Y"]
+        vecs = marker_fixture()
+        space = select_top_k(vecs[4:] + vecs[:4], k=1)
+        assert list(space.selected) == ["Y", "Z", "X"]
+
+    def test_recorder_sees_every_document(self):
+        seen = []
+        select_top_k(self.fixture(), k=1, recorder=seen.append)
+        assert seen == ["d1", "d2", "d3"]
+
+    def test_unlabeled_document_rejected(self):
+        with pytest.raises(OntoclassError, match="'d1' has no label"):
+            select_top_k([hv("d1", {"a": 1})], k=1)
+
+    def test_df_bounds_enforced(self):
+        for df in (0, 3):
+            with pytest.raises(OntoclassError, match="df"):
+                FeatureSpace(
+                    descriptors=("t:a",),
+                    per_category_scores={},
+                    k_per_category=1,
+                    selected={"X": ("t:a",), "Y": ()},
+                    df=(df,),
+                )
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(OntoclassError):
+            select_top_k([], k=1)
 
 
 def select_top_k_reference(vectors, k, categories=None):
@@ -396,15 +432,14 @@ def small_matrix_fixture():
         hv("d2", {"a": 1, "c": 3}, label="Y"),
         hv("d3", {"b": 2, "c": 1, "d": 1}, label="Z"),
     ]
-    stats = compute_category_stats(vecs)
     space = select_top_k(vecs, k=10)
-    return vecs, stats, space
+    return vecs, space
 
 
 class TestBuildMatrix:
     def test_hand_computed_tfidf_rows(self):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats)
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space)
         # df: a=2, b=2, c=2, d=1 over 3 categories; weight = n*ln(3/df),
         # rows L2-normalized; values hand-computed from that formula
         expected = {
@@ -422,78 +457,157 @@ class TestBuildMatrix:
                 assert abs(got - want.get(desc, 0.0)) <= 1e-9
 
     def test_rows_are_unit_length(self):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats)
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space)
         norms = np.sqrt(matrix.values.multiply(matrix.values).sum(axis=1))
         assert np.allclose(np.asarray(norms).ravel(), 1.0)
 
     def test_labels_and_ids_in_corpus_order(self):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats)
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space)
         assert matrix.doc_ids == ("d1", "d2", "d3")
         assert matrix.labels == ("X", "Y", "Z")
 
     def test_tf_weighting_keeps_raw_proportions(self):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats, weighting="tf")
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space, weighting="tf")
         dense = matrix.values.toarray()
         col = matrix.descriptors.index("t:c")
         row = matrix.doc_ids.index("d2")
         assert math.isclose(dense[row, col], 3 / math.sqrt(10))
 
     def test_binary_weighting_flattens_counts(self):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats, weighting="binary")
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space, weighting="binary")
         dense = matrix.values.toarray()
         row = matrix.doc_ids.index("d1")
         nonzero = dense[row][dense[row] > 0]
         assert np.allclose(nonzero, 1 / math.sqrt(2))
 
     def test_unknown_weighting_rejected(self):
-        vecs, stats, space = small_matrix_fixture()
+        vecs, space = small_matrix_fixture()
         with pytest.raises(OntoclassError):
-            build_matrix(vecs, space, stats, weighting="idf")
+            build_matrix(vecs, space, weighting="idf")
 
-    def test_descriptor_missing_from_stats_weighs_zero(self, caplog):
-        vecs, stats, space = small_matrix_fixture()
-        widened = FeatureSpace(
-            descriptors=space.descriptors + ("t:ghost",),
-            per_category_scores=space.per_category_scores,
-            k_per_category=space.k_per_category,
-        )
-        ghost = [
-            hv("d9", {"ghost": 4}, label="X"),
-        ]
-        with caplog.at_level(logging.WARNING, logger="ontoclass.features"):
-            matrix = build_matrix(vecs + ghost, widened, stats)
-        assert "absent from training stats" in caplog.text
-        dense = matrix.values.toarray()
-        assert dense[:, list(matrix.descriptors).index("t:ghost")].sum() == 0.0
+    def test_unlabeled_document_rejected(self):
+        vecs, space = small_matrix_fixture()
+        with pytest.raises(OntoclassError, match="'u1' has no label"):
+            build_matrix(vecs + [hv("u1", {"a": 1})], space)
 
     def test_document_without_selected_descriptors_is_zero_row(self, caplog):
-        vecs, stats, space = small_matrix_fixture()
+        vecs, space = small_matrix_fixture()
         stranger = hv("d4", {"qqq": 5}, label="X")
         with caplog.at_level(logging.WARNING, logger="ontoclass.features"):
-            matrix = build_matrix(vecs + [stranger], space, stats)
+            matrix = build_matrix(vecs + [stranger], space)
         assert "all-zero rows" in caplog.text
         assert matrix.values.getrow(3).nnz == 0
 
 
-class TestMatrixSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats)
-        path = tmp_path / "weights.mtx"
-        save_matrix(matrix, path)
-        back = load_matrix(path)
-        assert back.doc_ids == matrix.doc_ids
-        assert back.descriptors == matrix.descriptors
-        assert back.labels == matrix.labels
-        assert (back.values != matrix.values).nnz == 0
+def category_df_reference(vectors):
+    """compute_category_stats as it was before selection returned df,
+    kept to what build_matrix read: the categories each descriptor
+    occurs in."""
+    seen_in = {}
+    for v in vectors:
+        for desc in descriptor_counts(v):
+            seen_in.setdefault(desc, set()).add(v.labels[0])
+    return {desc: len(cats) for desc, cats in seen_in.items()}
 
+
+def build_matrix_reference(vectors, descriptors, df, nbr_category, weighting):
+    """build_matrix as it was when it read separately fitted category
+    statistics: one dict walk per document, weights as Python floats."""
+    col_of = {d: i for i, d in enumerate(descriptors)}
+    row_idx, col_idx, data = [], [], []
+    for r, v in enumerate(vectors):
+        for desc, n in descriptor_counts(v).items():
+            c = col_of.get(desc)
+            if c is None:
+                continue
+            if weighting == "binary":
+                w = 1.0
+            elif weighting == "tf":
+                w = float(n)
+            else:
+                if desc not in df:
+                    continue
+                w = tfidf_weight(n, df[desc], nbr_category)
+            if w:
+                row_idx.append(r)
+                col_idx.append(c)
+                data.append(w)
+    mat = sparse.csr_matrix(
+        (data, (row_idx, col_idx)),
+        shape=(len(vectors), len(descriptors)),
+        dtype=np.float64,
+    )
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return (sparse.diags(scale) @ mat).tocsr()
+
+
+# Test documents also draw descriptors no training document holds, and
+# may hold nothing at all, so zero rows come up often.
+_test_docs = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(_POOL + ("q", "zz")), st.integers(1, 3),
+                        max_size=4),
+        st.dictionaries(st.sampled_from(("D1", "D3")), st.integers(1, 2),
+                        max_size=2),
+    ),
+    max_size=12,
+)
+
+# "a" sits in every category at different rates, so it is selected
+# with df equal to the category count and weighs 0 under tfidf.
+_EVERY_CATEGORY = [
+    (0, {"a": 1, "b": 1}, {}), (0, {"a": 1}, {}), (0, {"a": 2}, {}),
+    (1, {"a": 1}, {}), (1, {"c": 1}, {}), (1, {"c": 2}, {}),
+    (1, {"b": 1}, {}), (1, {"c": 1}, {}),
+]
+
+
+class TestBuildMatrixEquivalence:
+    @given(train=_docs, test=_test_docs, k=st.integers(1, len(_POOL) + 3),
+           explicit=st.booleans())
+    @example(train=_EVERY_CATEGORY, test=[(0, {"a": 3}, {}), (1, {}, {})],
+             k=10, explicit=False)
+    @example(train=_EVERY_CATEGORY, test=[(2, {"q": 1}, {"D3": 1})],
+             k=1, explicit=True)
+    def test_matches_separate_stats_reference(self, train, test, k, explicit):
+        train_vecs = [
+            hv(f"d{i}", terms, concepts, label="WXYZ"[cat])
+            for i, (cat, terms, concepts) in enumerate(train)
+        ]
+        test_vecs = [
+            hv(f"e{i}", terms, concepts, label="WXYZ"[cat])
+            for i, (cat, terms, concepts) in enumerate(test)
+        ]
+        categories = ("Z", "X", "W", "Y") if explicit else None
+        if not explicit:
+            assume(len({cat for cat, _, _ in train}) >= 2)
+        space = select_top_k(train_vecs, k=k, categories=categories)
+        df = category_df_reference(train_vecs)
+        nbr = len(categories or {v.labels[0] for v in train_vecs})
+        assert space.df == tuple(df[d] for d in space.descriptors)
+        for weighting in ("tfidf", "tf", "binary"):
+            for vecs in (train_vecs, test_vecs):
+                got = build_matrix(vecs, space, weighting=weighting)
+                want = build_matrix_reference(vecs, space.descriptors, df, nbr,
+                                              weighting)
+                assert got.doc_ids == tuple(v.doc_id for v in vecs)
+                assert got.labels == tuple(v.labels[0] for v in vecs)
+                assert got.values.indptr.tolist() == want.indptr.tolist()
+                assert got.values.indices.tolist() == want.indices.tolist()
+                assert ([x.hex() for x in got.values.data.tolist()]
+                        == [x.hex() for x in want.data.tolist()])
+
+
+class TestMatrixSerialization:
     def test_header_counts_nonzeros(self, tmp_path):
-        vecs, stats, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, stats)
+        vecs, space = small_matrix_fixture()
+        matrix = build_matrix(vecs, space)
         path = tmp_path / "weights.mtx"
         save_matrix(matrix, path)
         header = path.read_text().splitlines()[0].split()
