@@ -186,6 +186,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontoclass",
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("map", _cmd_map, "dump document vectors in the sparse-matrix format")
     add("select", _cmd_select, "dump the per-category selected descriptors")
     p = add("evaluate", _cmd_evaluate, "run cross-validation and write the report")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads for fold evaluation (default 1)")
     p = add("report", _cmd_report, "render a cached report")
     p.add_argument("--report", help="report CSV (default: <output_dir>/report.csv)")

@@ -124,6 +124,10 @@ def validate_config(config: ExperimentConfig, base_dir: str | Path = ".") -> Non
 
     if not config.corpus_path:
         raise ConfigError("corpus.path", "required")
+    for i, cat in enumerate(config.categories):
+        if cat in config.categories[:i]:
+            raise ConfigError("corpus.categories",
+                              f"category {cat!r} listed more than once")
     if config.k_features < 1:
         raise ConfigError("features.k", "must be >= 1")
     if config.knn_k < 1:

@@ -298,10 +298,11 @@ def assign_labels(
     """Attach category labels and restrict the corpus to them.
 
     `categories` is the configured category subset (kept in the given
-    order); when omitted it is derived from the labels in first-appearance
-    order. `universe`, when given, is the set of valid category names and
-    any label outside it is an error (typo guard). Documents left with no
-    label after restriction are dropped and reported via ``Corpus.dropped``.
+    order, each name once); when omitted it is derived from the labels in
+    first-appearance order. `universe`, when given, is the set of valid
+    category names and any label outside it is an error (typo guard).
+    Documents left with no label after restriction are dropped and
+    reported via ``Corpus.dropped``.
 
     Multi-label documents are resolved per `policy`: ``first-label`` keeps
     the first surviving label; ``duplicate`` emits one instance per label,
@@ -309,6 +310,9 @@ def assign_labels(
     """
     if policy not in LABEL_POLICIES:
         raise OntoclassError(f"unknown label policy {policy!r}")
+    for i, cat in enumerate(categories or ()):
+        if cat in categories[:i]:
+            raise OntoclassError(f"category {cat!r} listed more than once")
     known_ids = {doc.doc_id for doc in corpus.documents}
     for doc_id in label_map:
         if doc_id not in known_ids:

@@ -27,7 +27,7 @@ from .classify import (
 from .config import ExperimentConfig
 from .corpus import Corpus
 from .errors import ExperimentError, OntoclassError, ParseError
-from .features import build_matrix, select_top_k
+from .features import WeightedMatrix, build_matrix, count_matrix, select_top_k
 from .mapping import HybridVector, MappingConfig, map_corpus, stems_only
 from .ontology import Ontology
 from .preprocess import load_stoplist, preprocess_corpus
@@ -176,33 +176,49 @@ def run_experiment(
         raise OntoclassError("corpus has no category list")
     vectors = representation_vectors(corpus, ontology, config)
     labels = {v.doc_id: v.labels[0] for v in vectors}
+    # one count matrix per run; each fold takes its rows
+    counts = count_matrix(vectors)
 
     if config.n_folds == 1:
         log.warning("single-fold diagnostic mode: training set = test set")
-        splits = [(vectors, vectors)]
+        everything = list(range(len(vectors)))
+        splits = [(everything, everything)]
     else:
         plan = make_folds(labels, config.n_folds, config.seed)
         splits = []
         for fold in range(config.n_folds):
             test_ids = plan.fold_ids(fold)
-            train = [v for v in vectors if v.doc_id not in test_ids]
-            test = [v for v in vectors if v.doc_id in test_ids]
-            splits.append((train, test))
+            in_test = [v.doc_id in test_ids for v in vectors]
+            splits.append((
+                [i for i, held_out in enumerate(in_test) if not held_out],
+                [i for i, held_out in enumerate(in_test) if held_out],
+            ))
+
+    def rows(positions: list[int]) -> tuple[list[HybridVector], WeightedMatrix]:
+        return [vectors[i] for i in positions], WeightedMatrix(
+            doc_ids=tuple(counts.doc_ids[i] for i in positions),
+            descriptors=counts.descriptors,
+            values=counts.values[positions],
+            labels=tuple(counts.labels[i] for i in positions),
+        )
 
     def run_fold(fold: int) -> dict[str, list[int]]:
-        train, test = splits[fold]
         try:
-            if not train or not test:
+            if not all(splits[fold]):
                 raise OntoclassError("a fold came out empty")
+            train, train_counts = rows(splits[fold][0])
+            test, test_counts = rows(splits[fold][1])
             recorder = None
             if fit_recorder is not None:
                 recorder = lambda doc_id: fit_recorder(fold, doc_id)
             space = select_top_k(
                 train, k=config.k_features, categories=categories,
-                recorder=recorder,
+                recorder=recorder, counts=train_counts,
             )
-            train_m = build_matrix(train, space, weighting=config.weighting)
-            test_m = build_matrix(test, space, weighting=config.weighting)
+            train_m = build_matrix(train, space, weighting=config.weighting,
+                                   counts=train_counts)
+            test_m = build_matrix(test, space, weighting=config.weighting,
+                                  counts=test_counts)
             if config.classifier == "knn":
                 model = knn_train(train_m, k=config.knn_k,
                                   similarity=config.knn_similarity)

@@ -5,14 +5,17 @@ document-by-descriptor matrix fed to the classifiers.
 Descriptors live in one namespace: stems are prefixed "t:" and concept
 ids "c:", so a stem can never collide with a concept id. Selection,
 weighting and `ontoclass map` all start from one raw-count matrix,
-`count_matrix`.
+`count_matrix`; cross-validation builds it once over every document and
+hands each fold its rows through the `counts` keyword.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -153,20 +156,71 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     )
 
 
+def _counts_for(
+    vectors: Sequence[HybridVector], counts: WeightedMatrix | None
+) -> WeightedMatrix:
+    """`counts` when it holds exactly `vectors`' rows, else a fresh
+    count_matrix."""
+    if counts is None:
+        return count_matrix(vectors)
+    if counts.doc_ids != tuple(v.doc_id for v in vectors):
+        raise OntoclassError("count matrix rows do not match the documents")
+    return counts
+
+
+class ScoreTable(Mapping):
+    """Read-only (category, descriptor) -> chi-square view over a score
+    grid with one row per category and one column per descriptor.
+
+    Keys iterate category-major, in the given orders; values come out as
+    Python floats. Anything else, including a key that is not a pair, is
+    absent.
+    """
+
+    def __init__(self, categories: Sequence[str], descriptors: Sequence[str],
+                 grid: np.ndarray):
+        grid.flags.writeable = False
+        self._categories = tuple(categories)
+        self._descriptors = tuple(descriptors)
+        self._grid = grid
+
+    @cached_property
+    def _position(self) -> tuple[dict[str, int], dict[str, int]]:
+        return ({c: i for i, c in enumerate(self._categories)},
+                {d: j for j, d in enumerate(self._descriptors)})
+
+    def __getitem__(self, key: tuple[str, str]) -> float:
+        if isinstance(key, tuple) and len(key) == 2:
+            rows, cols = self._position
+            try:
+                return float(self._grid[rows[key[0]], cols[key[1]]])
+            except (KeyError, TypeError):
+                pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((c, d) for c in self._categories for d in self._descriptors)
+
+    def __len__(self) -> int:
+        return self._grid.size
+
+
 @dataclass(frozen=True)
 class FeatureSpace:
     """The selected descriptor set, in deterministic order.
 
     `descriptors` is the deduplicated union of each category's top-K:
     categories in corpus order, descriptors score-descending within each,
-    first occurrence wins. `per_category_scores` keeps every computed
-    chi-square value, selected or not. `selected` has one entry per
-    category, and `df[i]` counts the training categories that hold
-    `descriptors[i]`.
+    first occurrence wins. `per_category_scores` maps every (category,
+    training descriptor) pair to its chi-square value, selected or not;
+    `select_top_k` makes it a read-only `ScoreTable` over its score grid,
+    categories in corpus order and descriptors in first-seen order.
+    `selected` has one entry per category, and `df[i]` counts the
+    training categories that hold `descriptors[i]`.
     """
 
     descriptors: tuple[str, ...]
-    per_category_scores: dict[tuple[str, str], float]
+    per_category_scores: Mapping[tuple[str, str], float]
     k_per_category: int
     selected: dict[str, tuple[str, ...]]
     df: tuple[int, ...]
@@ -187,6 +241,7 @@ def select_top_k(
     k: int = DEFAULT_K,
     categories: Sequence[str] | None = None,
     recorder: Recorder | None = None,
+    counts: WeightedMatrix | None = None,
 ) -> FeatureSpace:
     """Pick each category's K most associated descriptors by chi-square.
 
@@ -196,6 +251,10 @@ def select_top_k(
     Ties break toward the lexicographically smaller descriptor. Chi-square
     is computed once per distinct contingency table, not once per pair.
     Categories default to the labels in first-appearance order.
+
+    `counts` is `vectors`' raw-count matrix, by default `count_matrix`;
+    a row slice of a larger one serves as well, since its columns that
+    no row holds drop out.
     """
     if k < 1:
         raise OntoclassError(f"k must be >= 1, got {k}")
@@ -205,7 +264,7 @@ def select_top_k(
         for v in vectors:
             recorder(v.doc_id)
     _require_labels(vectors)
-    counts = count_matrix(vectors)
+    counts = _counts_for(vectors, counts)
     cats = tuple(dict.fromkeys(counts.labels) if categories is None else categories)
     if len(cats) < 2:
         raise OntoclassError("feature selection needs at least 2 categories")
@@ -219,26 +278,31 @@ def select_top_k(
             f"label {exc.args[0]!r} outside the category list"
         ) from None
 
-    # Count columns are in first-seen order (the order of
-    # `per_category_scores`). Score columns follow sorted() string order,
-    # so a score tie goes to the lower column, i.e. the smaller descriptor.
-    seen_order = counts.descriptors
+    # The descriptors the rows hold, in first-seen order (the order of
+    # `per_category_scores`); a row slice keeps each row's column order.
+    # Score columns follow sorted() string order, so a score tie goes to
+    # the lower column, i.e. the smaller descriptor.
+    x = counts.values
+    held, first = np.unique(x.indices, return_index=True)
+    held = held[np.argsort(first)]
+    seen_order = [counts.descriptors[c] for c in held.tolist()]
     n_docs, n_rows, n_desc = len(vectors), len(row_of), len(seen_order)
     by_string = sorted(range(n_desc), key=seen_order.__getitem__)
     vocab = [seen_order[i] for i in by_string]
     column_of_seen = np.empty(n_desc, dtype=np.int64)
     column_of_seen[by_string] = np.arange(n_desc)
-    x = counts.values
+    column_of_count = np.zeros(len(counts.descriptors), dtype=np.int64)
+    column_of_count[held] = column_of_seen
     n11_grid = np.bincount(
         np.repeat(doc_rows, np.diff(x.indptr)) * n_desc
-        + column_of_seen[x.indices],
+        + column_of_count[x.indices],
         minlength=n_rows * n_desc,
     ).reshape(n_rows, n_desc)
     doc_freq = n11_grid.sum(axis=0)
     category_freq = np.count_nonzero(n11_grid, axis=0)
     sizes = np.bincount(doc_rows, minlength=n_rows)
 
-    scores: dict[tuple[str, str], float] = {}
+    scores = np.empty((n_rows, n_desc), dtype=np.float64)
     selected: dict[str, tuple[str, ...]] = {}
     union: dict[int, None] = {}
     for cat in cats:
@@ -259,10 +323,7 @@ def select_top_k(
             for n11, freq in (divmod(t, n_docs + 1) for t in tables.tolist())
         ]
         row_scores = np.asarray(distinct, dtype=np.float64)[inverse]
-        scores.update(zip(
-            [(cat, desc) for desc in seen_order],
-            row_scores[column_of_seen].tolist(),
-        ))
+        scores[row] = row_scores[column_of_seen]
         positive = np.flatnonzero(row_scores > 0)
         order = np.lexsort((positive, -row_scores[positive]))
         chosen = positive[order[:k]].tolist()
@@ -271,7 +332,7 @@ def select_top_k(
 
     return FeatureSpace(
         descriptors=tuple(vocab[c] for c in union),
-        per_category_scores=scores,
+        per_category_scores=ScoreTable(row_of, seen_order, scores),
         k_per_category=k,
         selected=selected,
         df=tuple(category_freq[list(union)].tolist()),
@@ -282,6 +343,7 @@ def build_matrix(
     vectors: Sequence[HybridVector],
     feature_space: FeatureSpace,
     weighting: str = "tfidf",
+    counts: WeightedMatrix | None = None,
 ) -> WeightedMatrix:
     """Weight documents over the selected descriptors; L2-normalize rows.
 
@@ -289,12 +351,12 @@ def build_matrix(
     ln(category count / category df), with df from the selection's
     training counts. Zero weights are dropped. Documents whose descriptors
     were all deselected come out as zero rows (flagged in the log, kept
-    in the matrix).
+    in the matrix). `counts` is as in `select_top_k`.
     """
     if weighting not in WEIGHTINGS:
         raise OntoclassError(f"unknown weighting {weighting!r}")
     _require_labels(vectors)
-    counts = count_matrix(vectors)
+    counts = _counts_for(vectors, counts)
     col_of = feature_space.index()
     # each count column's place among the selected descriptors, or -1
     target = np.array(

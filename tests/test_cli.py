@@ -171,6 +171,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: mapping.representation")
 
+    def test_repeated_category_exits_2_naming_field(self, workspace, capsys):
+        ini = INI.replace("label_map = labels.tsv\n",
+                          "label_map = labels.tsv\ncategories = Heart Disease; "
+                          "Heart Disease; Renal Disease\n")
+        (workspace / "twice.ini").write_text(ini, encoding="utf-8")
+        assert run(workspace, "evaluate", config="twice.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corpus.categories")
+        assert "'Heart Disease' listed more than once" in err
+        assert not (workspace / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_below_one_is_usage_error(self, workspace, capsys, threads):
+        with pytest.raises(SystemExit) as err:
+            run(workspace, "evaluate", "--threads", threads)
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (workspace / "out" / "report.csv").exists()
+
     def test_missing_config_exits_2(self, monkeypatch, capsys):
         monkeypatch.delenv(CONFIG_ENV, raising=False)
         assert main(["ingest"]) == 2

@@ -227,6 +227,20 @@ class TestValidateConfig:
         assert err.value.field == field
 
 
+    def test_repeated_category_names_the_field(self, tmp_path):
+        config = self.base(tmp_path, categories=("Heart", "Lung", "Heart"))
+        with pytest.raises(ConfigError, match="'Heart' listed more than once") as err:
+            validate_config(config, base_dir=tmp_path)
+        assert err.value.field == "corpus.categories"
+
+    def test_repeated_category_rejected_on_load(self, tmp_path):
+        text = FULL_INI.replace("categories = Heart; Lung, Chronic; Kidney",
+                                "categories = Heart; Lung, Chronic; Heart")
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match="corpus.categories: category 'Heart'"):
+            load_config(path)
+
+
 class TestEcho:
     def test_schema_order_and_rendering(self):
         config = ExperimentConfig(

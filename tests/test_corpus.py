@@ -211,6 +211,12 @@ class TestAssignLabels:
         assert out.categories == ("Z", "A")
 
 
+    def test_repeated_category_rejected(self):
+        with pytest.raises(OntoclassError, match="'A' listed more than once"):
+            assign_labels(_corpus("1", "2"), {"1": ("A",), "2": ("B",)},
+                          categories=("A", "B", "A"))
+
+
 class TestCorpusInvariants:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(OntoclassError, match="duplicate"):

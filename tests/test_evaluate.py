@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import synthcorpus
+from ontoclass import features
 from ontoclass.config import ExperimentConfig
 from ontoclass.corpus import Corpus, Document
 from ontoclass.errors import ExperimentError, OntoclassError, ParseError
@@ -21,6 +22,7 @@ from ontoclass.evaluate import (
     run_experiment,
     write_report,
 )
+from ontoclass.features import descriptor_counts
 from ontoclass.ontology import build_ontology
 from ontoclass.preprocess import load_stoplist
 
@@ -186,6 +188,19 @@ class TestRunExperiment:
         assert touched
         for fold, doc_id in touched:
             assert doc_id not in plan.fold_ids(fold)
+
+    def test_each_document_is_counted_once_per_run(self, monkeypatch):
+        walked = Counter()
+
+        def counting(vector):
+            walked[vector.doc_id] += 1
+            return descriptor_counts(vector)
+
+        monkeypatch.setattr(features, "descriptor_counts", counting)
+        corpus = separable_corpus()
+        report = run_experiment(corpus, None, stems_config(n_folds=3))
+        assert len(report.per_fold) == 3
+        assert walked == Counter(d.doc_id for d in corpus.documents)
 
     def test_upstream_error_is_fold_tagged(self):
         config = stems_config(knn_k=500)

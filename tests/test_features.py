@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ontoclass.errors import OntoclassError
 from ontoclass.features import (
     ContingencyTable,
     FeatureSpace,
+    WeightedMatrix,
     build_matrix,
     chi_square,
     count_matrix,
@@ -602,6 +604,154 @@ class TestBuildMatrixEquivalence:
                 assert got.values.indices.tolist() == want.indices.tolist()
                 assert ([x.hex() for x in got.values.data.tolist()]
                         == [x.hex() for x in want.data.tolist()])
+
+
+def row_slice(counts, rows):
+    """The rows of a count matrix, as run_experiment hands them to a fold."""
+    return WeightedMatrix(
+        doc_ids=tuple(counts.doc_ids[r] for r in rows),
+        descriptors=counts.descriptors,
+        values=counts.values[rows],
+        labels=tuple(counts.labels[r] for r in rows),
+    )
+
+
+# Held-out documents draw from a wider pool, so some descriptors occur
+# only in held-out rows; any document may be empty.
+_split_docs = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(_POOL), st.integers(1, 3), max_size=4),
+        st.dictionaries(st.sampled_from(("q", "zz")), st.integers(1, 2),
+                        max_size=2),
+        st.dictionaries(st.sampled_from(("D1", "D2")), st.integers(1, 2),
+                        max_size=2),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestRowSliceEquivalence:
+    """Selection and weighting over a row slice of one all-documents count
+    matrix give what they give over the training documents alone."""
+
+    @given(docs=_split_docs, k=st.integers(1, len(_POOL) + 3),
+           explicit=st.booleans())
+    @example(docs=[(True, 0, {}, {"q": 1}, {}), (False, 0, {"a": 1}, {}, {}),
+                   (True, 1, {"b": 2}, {"zz": 1}, {"D1": 1}),
+                   (False, 1, {}, {}, {}), (False, 1, {"b": 1}, {}, {"D2": 2})],
+             k=2, explicit=False)
+    def test_slice_matches_fresh_count_matrix(self, docs, k, explicit):
+        vecs = [
+            hv(f"d{i}", terms, concepts, label="WXYZ"[cat])
+            if not held_out else
+            hv(f"d{i}", {**terms, **extra}, concepts, label="WXYZ"[cat])
+            for i, (held_out, cat, terms, extra, concepts) in enumerate(docs)
+        ]
+        train_rows = [i for i, d in enumerate(docs) if not d[0]]
+        test_rows = [i for i, d in enumerate(docs) if d[0]]
+        assume(train_rows)
+        categories = ("Z", "X", "W", "Y") if explicit else None
+        if not explicit:
+            assume(len({docs[i][1] for i in train_rows}) >= 2)
+        counts = count_matrix(vecs)
+        train = [vecs[i] for i in train_rows]
+        test = [vecs[i] for i in test_rows]
+
+        space = select_top_k(train, k=k, categories=categories,
+                             counts=row_slice(counts, train_rows))
+        want = select_top_k(train, k=k, categories=categories)
+        assert (hex_items(space.per_category_scores)
+                == hex_items(want.per_category_scores))
+        assert space.selected == want.selected
+        assert space.descriptors == want.descriptors
+        assert space.df == want.df
+        for weighting in ("tfidf", "tf", "binary"):
+            for vs, rows in ((train, train_rows), (test, test_rows)):
+                got = build_matrix(vs, want, weighting=weighting,
+                                   counts=row_slice(counts, rows)).values
+                ref = build_matrix(vs, want, weighting=weighting).values
+                assert got.indptr.tolist() == ref.indptr.tolist()
+                assert got.indices.tolist() == ref.indices.tolist()
+                assert ([x.hex() for x in got.data.tolist()]
+                        == [x.hex() for x in ref.data.tolist()])
+
+    def test_mismatched_doc_ids_rejected(self):
+        vecs = marker_fixture()
+        space = select_top_k(vecs, k=2)
+        for wrong in (count_matrix(vecs[::-1]), count_matrix(vecs[1:])):
+            with pytest.raises(OntoclassError, match="do not match"):
+                select_top_k(vecs, k=2, counts=wrong)
+            with pytest.raises(OntoclassError, match="do not match"):
+                build_matrix(vecs, space, counts=wrong)
+
+
+class TestScoreTableView:
+    def space_and_reference(self):
+        train = marker_fixture()
+        held_out = hv("h0", {"only_held_out": 2, "mx": 1}, label="X")
+        counts = count_matrix(train + [held_out])
+        space = select_top_k(train, k=2,
+                             counts=row_slice(counts, range(len(train))))
+        scores, _, _ = select_top_k_reference(train, 2)
+        return space.per_category_scores, scores
+
+    def test_matches_reference_dict(self):
+        view, ref = self.space_and_reference()
+        assert len(view) == len(ref) == 3 * 4
+        assert view == ref and ref == view
+        assert list(view) == list(ref)
+        assert all(type(v) is float for v in view.values())
+
+    def test_absent_keys(self):
+        view, _ = self.space_and_reference()
+        assert ("X", "t:mx") in view
+        for key in (("Q", "t:mx"), ("X", "t:nope"), ("X", "t:only_held_out"),
+                    "X", ("X",), ("X", "t:mx", "t:mx"), ["X", "t:mx"], None):
+            assert key not in view
+            with pytest.raises(KeyError):
+                view[key]
+        assert view.get(("X", "t:nope")) is None
+
+    def test_read_only(self):
+        view, _ = self.space_and_reference()
+        with pytest.raises(TypeError):
+            view[("X", "t:mx")] = 0.0
+        with pytest.raises(TypeError):
+            del view[("X", "t:mx")]
+        assert view[("X", "t:mx")] == 12.0
+
+    def test_repeated_category_iterated_once(self):
+        space = select_top_k(marker_fixture(), k=1, categories=("X", "Y", "X", "Z"))
+        assert [c for c, _ in space.per_category_scores][::4] == ["X", "Y", "Z"]
+        assert len(space.per_category_scores) == 3 * 4
+
+
+class TestSelectTopKBoundedMemory:
+    def test_scores_are_not_held_per_pair(self):
+        # 20 categories x about 8,600 descriptors: about 172k scored pairs,
+        # some 1.4 MB as one float64 grid and over 20 MB as a dict of
+        # (category, descriptor) tuples to Python floats
+        n_docs, n_desc, per_doc, n_cats = 1000, 10_000, 20, 20
+        rng = np.random.default_rng(11)
+        vecs = [
+            hv(f"d{i}", {f"w{j}": 1 for j in rng.choice(n_desc, per_doc,
+                                                         replace=False)},
+               label=f"C{i % n_cats}")
+            for i in range(n_docs)
+        ]
+        counts = count_matrix(vecs)
+        n_pairs = n_cats * len(counts.descriptors)
+        tracemalloc.start()
+        try:
+            space = select_top_k(vecs, k=10, counts=counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(space.per_category_scores) == n_pairs
+        assert peak < 40 * n_pairs, f"peak {peak} bytes for {n_pairs} pairs"
 
 
 class TestMatrixSerialization:
