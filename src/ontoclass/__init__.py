@@ -9,7 +9,6 @@ from .classify import (
     TreeNode,
     c45_predict,
     c45_train,
-    gain_ratio,
     knn_predict,
     knn_train,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "chi_square",
     "enrich_hyperonyms",
     "f_measure",
-    "gain_ratio",
     "import_mesh_ascii",
     "knn_predict",
     "knn_train",

@@ -130,47 +130,15 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _counter_vec(labels: Sequence[str]) -> np.ndarray:
-    return np.array(list(Counter(labels).values()), dtype=np.float64)
-
-
-def information_gain(
-    parent_labels: Sequence[str], split: Sequence[Sequence[str]]
-) -> float:
-    """Entropy drop (in bits) from partitioning the parent labels."""
-    n = len(parent_labels)
-    if sum(len(part) for part in split) != n:
-        raise OntoclassError("split is not a partition of the parent labels")
-    child = sum(
-        len(part) / n * _entropy(_counter_vec(part)) for part in split if part
-    )
-    return _entropy(_counter_vec(parent_labels)) - child
-
-
-def gain_ratio(
-    parent_labels: Sequence[str], split: Sequence[Sequence[str]]
-) -> float:
-    """Information gain divided by the entropy of the partition sizes."""
-    gain = information_gain(parent_labels, split)
-    sizes = np.array([len(part) for part in split], dtype=np.float64)
-    split_info = _entropy(sizes)
-    if split_info == 0.0:
-        return 0.0
-    return gain / split_info
-
-
 @dataclass(frozen=True)
 class TreeConfig:
     min_leaf: int = 2
     max_depth: int | None = None
     prune: bool = True
-    confidence: float = PRUNE_CONFIDENCE
 
     def __post_init__(self):
         if self.min_leaf < 1:
             raise OntoclassError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if not 0.0 < self.confidence <= 0.5:
-            raise OntoclassError("confidence must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -371,7 +339,7 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
 
     tree = grow(np.arange(n), 0)
     if config.prune:
-        tree = prune_tree(tree, config.confidence)
+        tree = prune_tree(tree)
     return tree
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, resolve_path
+from .config import ExperimentConfig, load_config
 from .corpus import (
     assign_labels,
     load_corpus_jsonl,
@@ -30,7 +30,7 @@ from .evaluate import (
     run_experiment,
     write_report,
 )
-from .features import WeightedMatrix, count_matrix, save_matrix, select_top_k
+from .features import count_matrix, save_matrix, select_top_k
 from .ontology import import_mesh_ascii, load_ontology
 from .preprocess import load_stoplist
 
@@ -39,18 +39,17 @@ log = logging.getLogger(__name__)
 CONFIG_ENV = "ONTOCLASS_CONFIG"
 
 
-def _require_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
+def _require_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
         raise ConfigError(
             "config", f"no config file given (use --config or ${CONFIG_ENV})"
         )
-    config = load_config(path)
-    return config, Path(path).parent
+    return load_config(path)
 
 
-def _load_labeled_corpus(config: ExperimentConfig, base: Path):
-    path = resolve_path(config.corpus_path, base)
+def _load_labeled_corpus(config: ExperimentConfig):
+    path = config.resolve(config.corpus_path)
     if config.corpus_format == "ohsumed":
         corpus = load_ohsumed(path)
     elif config.corpus_format == "jsonl":
@@ -58,7 +57,7 @@ def _load_labeled_corpus(config: ExperimentConfig, base: Path):
     else:
         corpus = parse_textdir(path)
     if config.label_map:
-        label_map = load_label_map(resolve_path(config.label_map, base))
+        label_map = load_label_map(config.resolve(config.label_map))
         corpus = assign_labels(
             corpus,
             label_map,
@@ -74,28 +73,26 @@ def _load_labeled_corpus(config: ExperimentConfig, base: Path):
     return corpus
 
 
-def _load_ontology(config: ExperimentConfig, base: Path):
+def _load_ontology(config: ExperimentConfig):
     if not config.ontology_path:
         return None
-    path = resolve_path(config.ontology_path, base)
-    stopwords = load_stoplist(
-        resolve_path(config.stoplist, base) if config.stoplist else None
-    )
+    path = config.resolve(config.ontology_path)
+    stopwords = load_stoplist(config.resolve(config.stoplist))
     if config.ontology_format == "mesh-ascii":
         return import_mesh_ascii(path, stopwords)
     return load_ontology(path, stopwords)
 
 
-def _out_dir(config: ExperimentConfig, base: Path) -> Path:
-    out = resolve_path(config.output_dir, base)
+def _out_dir(config: ExperimentConfig) -> Path:
+    out = config.resolve(config.output_dir) or config.base_dir
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
-    corpus = _load_labeled_corpus(config, base)
-    out = Path(args.out) if args.out else _out_dir(config, base) / "corpus.jsonl"
+    config = _require_config(args)
+    corpus = _load_labeled_corpus(config)
+    out = Path(args.out) if args.out else _out_dir(config) / "corpus.jsonl"
     save_corpus_jsonl(corpus, out)
     print(
         f"{len(corpus)} documents, {len(corpus.categories)} categories, "
@@ -105,10 +102,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_ontology_check(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
+    config = _require_config(args)
     if not config.ontology_path:
         raise ConfigError("ontology.path", "required for ontology-check")
-    onto = _load_ontology(config, base)
+    onto = _load_ontology(config)
     n = len(onto)
     roots = len(onto.roots())
     print(
@@ -118,41 +115,34 @@ def _cmd_ontology_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _vectors_for(config: ExperimentConfig, base: Path):
-    corpus = _load_labeled_corpus(config, base)
+def _vectors_for(config: ExperimentConfig):
+    corpus = _load_labeled_corpus(config)
     ontology = None
     if config.representation != "stems":
-        ontology = _load_ontology(config, base)
+        ontology = _load_ontology(config)
     return corpus, representation_vectors(corpus, ontology, config)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
-    _, vectors = _vectors_for(config, base)
-    counts = count_matrix(vectors)
-    order = sorted(range(len(counts.descriptors)),
-                   key=counts.descriptors.__getitem__)
-    matrix = WeightedMatrix(
-        doc_ids=counts.doc_ids,
-        descriptors=tuple(counts.descriptors[c] for c in order),
-        values=counts.values[:, order],
-        labels=counts.labels,
-    )
-    out = _out_dir(config, base) / "vectors.mtx"
+    config = _require_config(args)
+    _, vectors = _vectors_for(config)
+    matrix = count_matrix(vectors)
+    out = _out_dir(config) / "vectors.mtx"
     save_matrix(matrix, out)
-    print(f"{len(vectors)} documents x {len(order)} descriptors -> {out}")
+    print(f"{len(vectors)} documents x {len(matrix.descriptors)} descriptors "
+          f"-> {out}")
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
-    corpus, vectors = _vectors_for(config, base)
+    config = _require_config(args)
+    corpus, vectors = _vectors_for(config)
     if not corpus.categories:
         raise ConfigError("corpus.label_map", "labeled corpus required for select")
     space = select_top_k(
         vectors, k=config.k_features, categories=corpus.categories
     )
-    out = _out_dir(config, base) / "features.tsv"
+    out = _out_dir(config) / "features.tsv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# k = {space.k_per_category}\n")
         for cat in corpus.categories:
@@ -164,21 +154,21 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
-    corpus = _load_labeled_corpus(config, base)
+    config = _require_config(args)
+    corpus = _load_labeled_corpus(config)
     ontology = None
     if config.representation != "stems":
-        ontology = _load_ontology(config, base)
+        ontology = _load_ontology(config)
     report = run_experiment(corpus, ontology, config, threads=args.threads)
-    csv_path, txt_path = write_report(report, _out_dir(config, base))
+    csv_path, txt_path = write_report(report, _out_dir(config))
     print(render_table(report), end="")
     print(f"report -> {csv_path} and {txt_path}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config, base = _require_config(args)
-    path = Path(args.report) if args.report else _out_dir(config, base) / "report.csv"
+    config = _require_config(args)
+    path = Path(args.report) if args.report else _out_dir(config) / "report.csv"
     if not path.exists():
         raise OntoclassError(f"no cached report at {path}; run evaluate first")
     report = read_report_csv(path)

@@ -9,7 +9,7 @@ file's directory.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import SIMILARITIES
@@ -82,6 +82,15 @@ class ExperimentConfig:
     n_folds: int = 5
     seed: int = 0
     output_dir: str = "out"
+    #: the directory relative paths resolve against: the config file's,
+    #: once `load_config` has read it
+    base_dir: Path = field(default=Path("."), init=False, repr=False,
+                           compare=False)
+
+    def resolve(self, value: str | None) -> Path | None:
+        """A path value of this config, resolved against `base_dir`; None
+        when the value is unset."""
+        return resolve_path(value, self.base_dir) if value else None
 
     def echo(self) -> tuple[tuple[str, str], ...]:
         """Flat (section.key, value) pairs in schema order, for reports."""
@@ -200,48 +209,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 ) from None
 
     config = ExperimentConfig(**values)
+    object.__setattr__(config, "base_dir", path.parent)
     validate_config(config, base_dir=path.parent)
     return config
 
-
-def default_config_ini() -> str:
-    """A commented template for `ontoclass init`-style bootstrapping."""
-    return (
-        "[corpus]\n"
-        "path = corpus.txt\n"
-        "format = ohsumed\n"
-        "label_map = labels.tsv\n"
-        "; semicolon-separated category subset; empty = all labeled\n"
-        "categories =\n"
-        "label_policy = first-label\n"
-        "\n"
-        "[ontology]\n"
-        "path = ontology.tsv\n"
-        "format = tsv\n"
-        "\n"
-        "[mapping]\n"
-        "representation = concepts\n"
-        "strategy = AddConcept\n"
-        "disambiguation = AllConcepts\n"
-        "hyperonym_variant = additive\n"
-        "use_mesh_annotations = false\n"
-        "\n"
-        "[features]\n"
-        "k = 100\n"
-        "weighting = tfidf\n"
-        "\n"
-        "[classify]\n"
-        "classifier = knn\n"
-        "knn_k = 5\n"
-        "knn_similarity = cosine\n"
-        "tree_min_leaf = 2\n"
-        "tree_max_depth = 0\n"
-        "tree_prune = true\n"
-        "\n"
-        "[evaluate]\n"
-        "n_folds = 5\n"
-        "seed = 0\n"
-        "\n"
-        "[cli]\n"
-        "output_dir = out\n"
-    )

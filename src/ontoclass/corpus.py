@@ -25,8 +25,7 @@ log = logging.getLogger(__name__)
 #: line is treated as format drift and rejected loudly.
 KNOWN_TAGS = {".U", ".T", ".W", ".M", ".A", ".S", ".P"}
 
-#: The 23 disease categories of the standard Ohsumed benchmark split,
-#: usable as a label universe for `assign_labels`.
+#: The 23 disease categories of the standard Ohsumed benchmark split.
 OHSUMED_CATEGORIES = (
     "Bacterial Infections and Mycoses",
     "Virus Diseases",
@@ -107,9 +106,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
 
 
 _TAG_SHAPED = re.compile(r"^\.[A-Z]+\s*$")
@@ -293,16 +289,13 @@ def assign_labels(
     label_map: Mapping[str, Sequence[str]],
     categories: Sequence[str] | None = None,
     policy: str = "first-label",
-    universe: Sequence[str] | None = None,
 ) -> Corpus:
     """Attach category labels and restrict the corpus to them.
 
     `categories` is the configured category subset (kept in the given
     order, each name once); when omitted it is derived from the labels in
-    first-appearance order. `universe`, when given, is the set of valid
-    category names and any label outside it is an error (typo guard).
-    Documents left with no label after restriction are dropped and
-    reported via ``Corpus.dropped``.
+    first-appearance order. Documents left with no label after
+    restriction are dropped and reported via ``Corpus.dropped``.
 
     Multi-label documents are resolved per `policy`: ``first-label`` keeps
     the first surviving label; ``duplicate`` emits one instance per label,
@@ -317,14 +310,6 @@ def assign_labels(
     for doc_id in label_map:
         if doc_id not in known_ids:
             raise OntoclassError(f"label map names unknown doc_id {doc_id!r}")
-    if universe is not None:
-        allowed = set(universe)
-        for doc_id, labels in label_map.items():
-            for lab in labels:
-                if lab not in allowed:
-                    raise OntoclassError(
-                        f"unknown category {lab!r} for document {doc_id!r}"
-                    )
 
     subset = None if categories is None else set(categories)
 
@@ -407,7 +392,7 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
                 continue
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"bad JSON: {exc}", lineno) from None
             if not isinstance(rec, dict):
                 raise ParseError("record is not a JSON object", lineno)

@@ -26,7 +26,7 @@ from .classify import (
 )
 from .config import ExperimentConfig
 from .corpus import Corpus
-from .errors import ExperimentError, OntoclassError, ParseError
+from .errors import ExperimentError, OntoclassError, ParseError, open_utf8
 from .features import WeightedMatrix, build_matrix, count_matrix, select_top_k
 from .mapping import HybridVector, MappingConfig, map_corpus, stems_only
 from .ontology import Ontology
@@ -45,7 +45,6 @@ class FoldPlan:
 
     n_folds: int
     assignment: dict[str, int]
-    seed: int
 
     def __post_init__(self):
         for doc_id, fold in self.assignment.items():
@@ -81,7 +80,7 @@ def make_folds(labels: Mapping[str, str], n: int, seed: int) -> FoldPlan:
         rng.shuffle(ids)
         for i, doc_id in enumerate(ids):
             assignment[doc_id] = i % n
-    return FoldPlan(n_folds=n, assignment=assignment, seed=seed)
+    return FoldPlan(n_folds=n, assignment=assignment)
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -132,7 +131,7 @@ def representation_vectors(
     config: ExperimentConfig,
 ) -> list[HybridVector]:
     """Preprocess the corpus and map it to the configured representation."""
-    stopwords = load_stoplist(config.stoplist)
+    stopwords = load_stoplist(config.resolve(config.stoplist))
     term_vectors = preprocess_corpus(corpus, stopwords)
     if config.representation == "stems":
         return [stems_only(tv) for tv in term_vectors]
@@ -333,7 +332,7 @@ def read_report_csv(path: str | Path) -> EvalReport:
     echo: list[tuple[str, str]] = []
     data_lines: list[str] = []
     line_numbers: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("# "):
                 key, _, value = line[2:].rstrip("\n").partition(" = ")

@@ -5,8 +5,9 @@ document-by-descriptor matrix fed to the classifiers.
 Descriptors live in one namespace: stems are prefixed "t:" and concept
 ids "c:", so a stem can never collide with a concept id. Selection,
 weighting and `ontoclass map` all start from one raw-count matrix,
-`count_matrix`; cross-validation builds it once over every document and
-hands each fold its rows through the `counts` keyword.
+`count_matrix`, whose columns are in descriptor order; cross-validation
+builds it once over every document and hands each fold its rows through
+the `counts` keyword.
 """
 
 from __future__ import annotations
@@ -131,8 +132,10 @@ def _require_labels(vectors: Sequence[HybridVector]) -> None:
 def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     """Raw descriptor counts, one row per document.
 
-    Columns follow the order in which descriptors are first seen; an
-    unlabeled document gets the label "".
+    Columns are in descriptor (string) order; each row keeps its entries
+    in the vector's own order, so the first-seen order of the descriptors
+    can be read off `values.indices`. An unlabeled document gets the
+    label "".
     """
     col_of: dict[str, int] = {}
     indptr = [0]
@@ -143,14 +146,18 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
         indices.extend(col_of.setdefault(d, len(col_of)) for d in counts)
         data.extend(counts.values())
         indptr.append(len(indices))
+    descriptors = sorted(col_of)
+    rank = np.empty(len(col_of), dtype=np.int64)
+    rank[[col_of[d] for d in descriptors]] = np.arange(len(col_of))
     values = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
+        (np.asarray(data, dtype=np.float64),
+         rank[np.asarray(indices, dtype=np.int64)],
          np.asarray(indptr, dtype=np.int64)),
         shape=(len(vectors), len(col_of)),
     )
     return WeightedMatrix(
         doc_ids=tuple(v.doc_id for v in vectors),
-        descriptors=tuple(col_of),
+        descriptors=tuple(descriptors),
         values=values,
         labels=tuple(v.labels[0] if v.labels else "" for v in vectors),
     )
@@ -159,12 +166,15 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
 def _counts_for(
     vectors: Sequence[HybridVector], counts: WeightedMatrix | None
 ) -> WeightedMatrix:
-    """`counts` when it holds exactly `vectors`' rows, else a fresh
-    count_matrix."""
+    """`counts` when it holds exactly `vectors`' rows, with its columns in
+    descriptor order, else a fresh count_matrix."""
     if counts is None:
         return count_matrix(vectors)
     if counts.doc_ids != tuple(v.doc_id for v in vectors):
         raise OntoclassError("count matrix rows do not match the documents")
+    names = counts.descriptors
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise OntoclassError("count matrix columns are not in descriptor order")
     return counts
 
 
@@ -278,24 +288,18 @@ def select_top_k(
             f"label {exc.args[0]!r} outside the category list"
         ) from None
 
-    # The descriptors the rows hold, in first-seen order (the order of
-    # `per_category_scores`); a row slice keeps each row's column order.
-    # Score columns follow sorted() string order, so a score tie goes to
-    # the lower column, i.e. the smaller descriptor.
+    # The count columns the rows hold, in descriptor order, so a score tie
+    # goes to the lower column, i.e. the smaller descriptor. A row slice
+    # keeps each row's entry order, so the first position of each column
+    # in `indices` gives the first-seen order of `per_category_scores`.
     x = counts.values
     held, first = np.unique(x.indices, return_index=True)
-    held = held[np.argsort(first)]
-    seen_order = [counts.descriptors[c] for c in held.tolist()]
-    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(seen_order)
-    by_string = sorted(range(n_desc), key=seen_order.__getitem__)
-    vocab = [seen_order[i] for i in by_string]
-    column_of_seen = np.empty(n_desc, dtype=np.int64)
-    column_of_seen[by_string] = np.arange(n_desc)
-    column_of_count = np.zeros(len(counts.descriptors), dtype=np.int64)
-    column_of_count[held] = column_of_seen
+    seen = np.argsort(first)
+    vocab = [counts.descriptors[c] for c in held.tolist()]
+    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(vocab)
     n11_grid = np.bincount(
         np.repeat(doc_rows, np.diff(x.indptr)) * n_desc
-        + column_of_count[x.indices],
+        + np.searchsorted(held, x.indices),
         minlength=n_rows * n_desc,
     ).reshape(n_rows, n_desc)
     doc_freq = n11_grid.sum(axis=0)
@@ -323,7 +327,7 @@ def select_top_k(
             for n11, freq in (divmod(t, n_docs + 1) for t in tables.tolist())
         ]
         row_scores = np.asarray(distinct, dtype=np.float64)[inverse]
-        scores[row] = row_scores[column_of_seen]
+        scores[row] = row_scores[seen]
         positive = np.flatnonzero(row_scores > 0)
         order = np.lexsort((positive, -row_scores[positive]))
         chosen = positive[order[:k]].tolist()
@@ -332,7 +336,8 @@ def select_top_k(
 
     return FeatureSpace(
         descriptors=tuple(vocab[c] for c in union),
-        per_category_scores=ScoreTable(row_of, seen_order, scores),
+        per_category_scores=ScoreTable(
+            row_of, [vocab[i] for i in seen.tolist()], scores),
         k_per_category=k,
         selected=selected,
         df=tuple(category_freq[list(union)].tolist()),

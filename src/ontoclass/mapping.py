@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import OntoclassError, OntologyError
-from .ontology import Ontology, phrase_key
+from .ontology import MAX_PHRASE_LEN, Ontology, phrase_key
 from .preprocess import TermVector, load_stoplist
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class HybridVector:
     strategy: str
     term_part: dict[str, int]
     concept_part: ConceptVector
-    hyperonyms_applied: bool = False
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -84,15 +83,14 @@ class MappingConfig:
 def match_phrases(
     term_vector: TermVector, ontology: Ontology, disamb: str = "AllConcepts"
 ) -> tuple[ConceptVector, set[str]]:
-    """Find concept matches in a stem vector.
+    """Find concept matches in a stem sequence.
 
-    With the stem sequence available, matching scans left to right taking
-    the longest indexed window (up to the ontology's max phrase length)
-    at each position; windows never overlap. Without a sequence, each
-    stem is looked up alone with its count. Under AllConcepts every
-    candidate concept of a matched key receives the full occurrence
-    count; under FirstConcept only the head of the candidate list does.
-    Returns the concept counts and the set of stems inside any match.
+    Matching scans left to right taking the longest indexed window (up to
+    MAX_PHRASE_LEN stems) at each position; windows never overlap. Under
+    AllConcepts every candidate concept of a matched key receives the full
+    occurrence count; under FirstConcept only the head of the candidate
+    list does. Returns the concept counts and the set of stems inside any
+    match.
     """
     if disamb not in DISAMBIGUATIONS:
         raise OntoclassError(f"unknown disambiguation {disamb!r}")
@@ -100,24 +98,18 @@ def match_phrases(
     key_counts: dict[str, int] = {}
     consumed: set[str] = set()
     stems = term_vector.stems
-    if stems:
-        i = 0
-        n = len(stems)
-        while i < n:
-            for width in range(min(ontology.max_phrase_len, n - i), 0, -1):
-                key = " ".join(stems[i : i + width])
-                if ontology.lookup_concepts(key):
-                    key_counts[key] = key_counts.get(key, 0) + 1
-                    consumed.update(stems[i : i + width])
-                    i += width
-                    break
-            else:
-                i += 1
-    else:
-        for s, tf in term_vector.counts.items():
-            if ontology.lookup_concepts(s):
-                key_counts[s] = key_counts.get(s, 0) + tf
-                consumed.add(s)
+    i = 0
+    n = len(stems)
+    while i < n:
+        for width in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
+            key = " ".join(stems[i : i + width])
+            if ontology.lookup_concepts(key):
+                key_counts[key] = key_counts.get(key, 0) + 1
+                consumed.update(stems[i : i + width])
+                i += width
+                break
+        else:
+            i += 1
 
     counts: dict[str, int] = {}
     for key, n in key_counts.items():
@@ -211,7 +203,6 @@ def map_document(
         strategy=config.strategy,
         term_part=term_part,
         concept_part=concept_vec,
-        hyperonyms_applied=config.use_hyperonyms,
         labels=term_vector.labels,
     )
 

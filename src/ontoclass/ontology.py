@@ -48,7 +48,6 @@ class Ontology:
 
     concepts: dict[str, Concept]
     phrase_index: dict[str, tuple[str, ...]]
-    max_phrase_len: int = MAX_PHRASE_LEN
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -56,13 +55,6 @@ class Ontology:
     def lookup_concepts(self, stemmed_phrase: str) -> tuple[str, ...]:
         """Return the ordered candidate concepts for a stemmed phrase key."""
         return self.phrase_index.get(stemmed_phrase, ())
-
-    def hyponyms(self, concept_id: str) -> frozenset[str]:
-        """Direct children of a concept (one hierarchy level)."""
-        try:
-            return self.concepts[concept_id].child_ids
-        except KeyError:
-            raise OntologyError(f"unknown concept id {concept_id!r}") from None
 
     def roots(self) -> tuple[str, ...]:
         """Concepts with no parents, in id order."""
@@ -186,14 +178,13 @@ def import_mesh_ascii(
 def build_ontology(
     rows: list[tuple[str, str, list[str], list[str]]],
     stopwords: frozenset[str] | None = None,
-    max_phrase_len: int = MAX_PHRASE_LEN,
 ) -> Ontology:
     """Assemble an Ontology from (id, preferred, trees, entries) rows.
 
     Hierarchy comes from tree numbers: the parent of C01.539.100 is the
     concept owning C01.539; a tree number whose parent path is owned by no
     concept makes that position a root (with a warning). Entry terms
-    longer than `max_phrase_len` stemmed tokens are indexed under their
+    longer than MAX_PHRASE_LEN stemmed tokens are indexed under their
     leading tokens only when that truncated key identifies the concept
     uniquely; otherwise they are dropped.
     """
@@ -256,11 +247,11 @@ def build_ontology(
                 continue
             tokens = key.split(" ")
             is_pref = term == preferred
-            if len(tokens) <= max_phrase_len:
+            if len(tokens) <= MAX_PHRASE_LEN:
                 slot = exact.setdefault(key, {})
                 slot[concept_id] = slot.get(concept_id, False) or is_pref
             else:
-                key = " ".join(tokens[:max_phrase_len])
+                key = " ".join(tokens[:MAX_PHRASE_LEN])
                 slot = truncated.setdefault(key, {})
                 slot[concept_id] = slot.get(concept_id, False) or is_pref
 
@@ -295,8 +286,7 @@ def build_ontology(
         for key, cids in exact.items()
     }
 
-    onto = Ontology(concepts=concepts, phrase_index=phrase_index,
-                    max_phrase_len=max_phrase_len)
+    onto = Ontology(concepts=concepts, phrase_index=phrase_index)
     onto.depth()  # raises on a hierarchy cycle
     if log.isEnabledFor(logging.INFO):
         log.info(

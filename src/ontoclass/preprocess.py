@@ -58,20 +58,20 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class TermVector:
-    """Preprocessed document: stem frequencies plus the stem sequence.
+    """Preprocessed document: the stem sequence plus stem frequencies.
 
-    `counts` maps stem -> frequency; `stems` is the in-order stem sequence
-    the counts were taken from. The invariant Counter(stems) == counts
-    holds by construction.
+    `stems` is the in-order stem sequence; `counts` maps stem -> frequency
+    in first-seen order and is derived from `stems`, so the two always
+    agree.
     """
 
     doc_id: str
-    counts: dict[str, int]
+    counts: dict[str, int] = field(init=False)
     stems: tuple[str, ...]
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "counts", dict(Counter(self.stems)))
 
     def total(self) -> int:
         return len(self.stems)
@@ -88,8 +88,7 @@ def preprocess_text(
     stems = tuple(stem(tok) for tok in tokenize(clean) if tok not in stopwords)
     if not stems:
         log.warning("document %s is empty after preprocessing", doc_id)
-    return TermVector(doc_id=doc_id, counts=dict(Counter(stems)), stems=stems,
-                      labels=labels)
+    return TermVector(doc_id=doc_id, stems=stems, labels=labels)
 
 
 def preprocess_corpus(corpus, stopwords: frozenset[str] | None = None) -> list[TermVector]:

@@ -20,8 +20,6 @@ from ontoclass.classify import (
     c45_predict,
     c45_predict_all,
     c45_train,
-    gain_ratio,
-    information_gain,
     knn_predict,
     knn_predict_all,
     knn_train,
@@ -179,34 +177,6 @@ class TestKnnPredict:
         assert knn_predict(model, [1.0, 0.0])[0] == "A"
 
 
-class TestGainRatio:
-    def test_perfect_symmetric_split_is_one(self):
-        labels = ["A", "A", "B", "B"]
-        assert gain_ratio(labels, [["A", "A"], ["B", "B"]]) == 1.0
-
-    def test_empty_side_is_zero(self):
-        labels = ["A", "A", "B", "B"]
-        assert gain_ratio(labels, [labels, []]) == 0.0
-
-    def test_worked_example(self):
-        labels = ["A", "A", "B", "B", "B", "B"]
-        split = [["A", "A", "B"], ["B", "B", "B"]]
-        assert round(gain_ratio(labels, split), 4) == 0.4591
-        assert round(information_gain(labels, split), 4) == 0.4591
-
-    def test_bad_partition_rejected(self):
-        with pytest.raises(OntoclassError):
-            gain_ratio(["A", "B"], [["A"], ["B", "B"]])
-
-    def test_in_unit_interval_for_binary_splits(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            labels = [rng.choice("AB") for _ in range(rng.randint(2, 12))]
-            cut = rng.randint(0, len(labels))
-            ratio = gain_ratio(labels, [labels[:cut], labels[cut:]])
-            assert 0.0 <= ratio <= 1.0 + 1e-12
-
-
 def entropy_bits(labels):
     n = len(labels)
     return -sum(c / n * math.log2(c / n) for c in Counter(labels).values())
@@ -338,10 +308,6 @@ class TestC45:
     def test_config_validation(self):
         with pytest.raises(OntoclassError):
             TreeConfig(min_leaf=0)
-        with pytest.raises(OntoclassError):
-            TreeConfig(confidence=0.0)
-        with pytest.raises(OntoclassError):
-            TreeConfig(confidence=0.9)
 
 
 class TestPruning:
@@ -536,7 +502,7 @@ def dense_c45_train(matrix, config):
         )
 
     tree = grow(np.arange(x.shape[0]), 0)
-    return reference_prune_tree(tree, config.confidence) if config.prune else tree
+    return reference_prune_tree(tree) if config.prune else tree
 
 
 def assert_same_tree(got, want, path="root"):

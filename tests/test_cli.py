@@ -162,6 +162,38 @@ class TestSubcommands:
         assert "run evaluate first" in err
 
 
+class TestConfigPaths:
+    def test_relative_stoplist_resolves_against_config_dir(
+        self, workspace, monkeypatch, capsys
+    ):
+        cfg = workspace / "cfg"
+        cfg.mkdir()
+        for name in ("corpus.txt", "labels.tsv", "onto.tsv"):
+            (cfg / name).write_bytes((workspace / name).read_bytes())
+        (cfg / "stop.txt").write_text("patient\n", encoding="utf-8")
+        (cfg / "exp.ini").write_text(
+            INI.replace("[ontology]", "[preprocess]\nstoplist = stop.txt\n\n"
+                                      "[ontology]"),
+            encoding="utf-8",
+        )
+        report = cfg / "out" / "report.csv"
+        monkeypatch.chdir(cfg)
+        assert main(["evaluate", "--config", "exp.ini"]) == 0
+        want = report.read_bytes()
+
+        # from the parent directory, with no stop.txt there ...
+        monkeypatch.chdir(workspace)
+        report.unlink()
+        assert main(["evaluate", "--config", "cfg/exp.ini"]) == 0
+        assert report.read_bytes() == want
+        # ... and with a different one there, which must not be read
+        (workspace / "stop.txt").write_text("kardol\nmoxart\n",
+                                            encoding="utf-8")
+        report.unlink()
+        assert main(["evaluate", "--config", "cfg/exp.ini"]) == 0
+        assert report.read_bytes() == want
+
+
 class TestExitCodes:
     def test_bad_enum_exits_2_naming_field(self, workspace, capsys):
         bad = INI.replace("representation = concepts",

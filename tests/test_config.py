@@ -1,8 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from ontoclass.config import (
     ExperimentConfig,
-    default_config_ini,
     load_config,
     resolve_path,
     validate_config,
@@ -77,18 +78,6 @@ class TestDefaults:
         assert config.tree_max_depth == 0
         assert config.output_dir == "out"
 
-    def test_template_parses_to_defaults(self, tmp_path):
-        path = write_config(
-            tmp_path, default_config_ini(),
-            referenced=("corpus.txt", "labels.tsv", "ontology.tsv"),
-        )
-        config = load_config(path)
-        defaults = ExperimentConfig(
-            corpus_path="corpus.txt", label_map="labels.tsv",
-            ontology_path="ontology.tsv",
-        )
-        assert config == defaults
-
 
 class TestLoadConfig:
     def test_full_parse(self, tmp_path):
@@ -114,6 +103,19 @@ class TestLoadConfig:
         assert config.n_folds == 3
         assert config.seed == 99
         assert config.output_dir == "results"
+
+    def test_records_its_directory_outside_keys_and_equality(self, tmp_path):
+        here = load_config(write_config(tmp_path, FULL_INI))
+        (tmp_path / "sub").mkdir()
+        there = load_config(write_config(tmp_path / "sub", FULL_INI))
+        assert here.base_dir == tmp_path
+        assert there.base_dir == tmp_path / "sub"
+        assert here == there
+        assert here.echo() == there.echo()
+        assert "base_dir" not in repr(here)
+        assert there.resolve(there.stoplist) == tmp_path / "sub" / "stop.txt"
+        assert there.resolve(None) is None
+        assert ExperimentConfig().base_dir == Path(".")
 
     def test_semicolon_separated_categories_keep_commas(self, tmp_path):
         config = load_config(write_config(tmp_path, FULL_INI))

@@ -189,12 +189,6 @@ class TestAssignLabels:
         assert [d.doc_id for d in out.documents] == ["1"]
         assert out.dropped == ("2",)
 
-    def test_universe_catches_typo(self):
-        with pytest.raises(OntoclassError, match="Virux"):
-            assign_labels(
-                _corpus("1"), {"1": ("Virux",)}, universe=("Virus Diseases",)
-            )
-
     def test_unknown_doc_id(self):
         with pytest.raises(OntoclassError, match="'99'"):
             assign_labels(_corpus("1"), {"99": ("A",)})

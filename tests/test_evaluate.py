@@ -82,7 +82,7 @@ class TestMakeFolds:
 
     def test_fold_plan_range_checked(self):
         with pytest.raises(OntoclassError):
-            FoldPlan(n_folds=2, assignment={"d1": 2}, seed=0)
+            FoldPlan(n_folds=2, assignment={"d1": 2})
 
 
 class TestFMeasure:

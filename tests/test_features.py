@@ -148,17 +148,22 @@ class TestCountMatrix:
             hv("d3", {"b": 2, "c": 4}),
         ]
 
-    def test_columns_in_first_seen_order(self):
+    def test_columns_in_descriptor_order(self):
         counts = count_matrix(self.fixture())
-        assert counts.descriptors == ("t:a", "t:b", "c:K9", "t:c")
+        assert counts.descriptors == ("c:K9", "t:a", "t:b", "t:c")
 
     def test_raw_counts(self):
         counts = count_matrix(self.fixture())
         assert counts.values.toarray().tolist() == [
-            [2.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 3.0, 0.0],
-            [0.0, 2.0, 0.0, 4.0],
+            [0.0, 2.0, 1.0, 0.0],
+            [3.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0, 4.0],
         ]
+
+    def test_rows_keep_first_seen_entry_order(self):
+        counts = count_matrix(self.fixture())
+        order = [counts.descriptors[c] for c in counts.values.indices]
+        assert order == ["t:a", "t:b", "t:a", "c:K9", "t:b", "t:c"]
 
     def test_ids_and_labels_in_input_order(self):
         counts = count_matrix(self.fixture())
@@ -686,6 +691,21 @@ class TestRowSliceEquivalence:
                 select_top_k(vecs, k=2, counts=wrong)
             with pytest.raises(OntoclassError, match="do not match"):
                 build_matrix(vecs, space, counts=wrong)
+
+    def test_counts_out_of_descriptor_order_rejected(self):
+        vecs = marker_fixture()
+        space = select_top_k(vecs, k=2)
+        counts = count_matrix(vecs)
+        reversed_columns = WeightedMatrix(
+            doc_ids=counts.doc_ids,
+            descriptors=counts.descriptors[::-1],
+            values=counts.values[:, ::-1].tocsr(),
+            labels=counts.labels,
+        )
+        with pytest.raises(OntoclassError, match="not in descriptor order"):
+            select_top_k(vecs, k=2, counts=reversed_columns)
+        with pytest.raises(OntoclassError, match="not in descriptor order"):
+            build_matrix(vecs, space, counts=reversed_columns)
 
 
 class TestScoreTableView:

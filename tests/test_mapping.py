@@ -12,7 +12,7 @@ from ontoclass.mapping import (
     stems_only,
 )
 from ontoclass.ontology import build_ontology
-from ontoclass.preprocess import TermVector, load_stoplist, preprocess_text
+from ontoclass.preprocess import load_stoplist, preprocess_text
 
 STOP = load_stoplist()
 
@@ -108,13 +108,6 @@ class TestMatchPhrases:
         concepts, _ = match_phrases(vec, onto)
         assert concepts.counts == {"Q1": 1}
 
-    def test_counts_only_fallback_uses_unigrams(self):
-        onto = appendicitis_ontology()
-        vec = TermVector("d1", {"append": 2, "appendic": 1, "patient": 4}, ())
-        concepts, consumed = match_phrases(vec, onto)
-        assert concepts.counts == {"D064": 3}
-        assert consumed == {"append", "appendic"}
-
     def test_unknown_disambiguation_rejected(self):
         onto = appendicitis_ontology()
         with pytest.raises(OntoclassError):
@@ -162,10 +155,11 @@ class TestMapDocument:
         assert hv.concept_part.counts == {}
 
     def test_frequency_conservation_first_concept_replace(self):
-        # unigram matching moves each matched stem's tf into exactly one
-        # concept, so the grand total is preserved
+        # unigram matches move each matched stem's tf into exactly one
+        # concept, so the grand total is preserved; no "cold" is followed
+        # by "temperature", so the two-stem key never matches
         onto = cold_ontology()
-        vec = TermVector("d1", {"cold": 4, "temperatur": 2, "zebra": 1}, ())
+        vec = doc_vector("temperature temperature zebra cold cold cold cold")
         config = MappingConfig(strategy="ReplaceTerms",
                                disambiguation="FirstConcept")
         hv = map_document(vec, onto, config)
@@ -252,7 +246,6 @@ class TestHyperonyms:
         )
         assert plain.concept_part.counts == {"A": 1, "B": 1, "C": 1}
         assert rich.concept_part.counts == {"A": 3, "B": 1, "C": 1}
-        assert rich.hyperonyms_applied and not plain.hyperonyms_applied
 
 
 class TestMeshAnnotations:

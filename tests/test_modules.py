@@ -46,3 +46,72 @@ def test_checker_sees_relative_and_absolute_private_imports(tmp_path):
         "sample.py:2 imports _require_labels from ontoclass.features",
         "sample.py:5 imports _late from .",
     ]
+
+
+#: Public names that no module of the package calls, and why they stay.
+UNUSED_ALLOWED = {
+    "knn_predict": "single-row reference for knn_predict_all in the tests",
+    "c45_predict": "single-row reference for c45_predict_all in the tests",
+}
+
+
+def unused_public_names(modules: list[Path]) -> list[str]:
+    """Public module-level functions and classes that no other place in
+    `modules` names. A definition naming itself does not count, and
+    neither does a package `__init__.py`, which only re-exports."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    defined[owner] = f"{path.name}:{stmt.lineno} {owner}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def test_every_public_name_is_used_by_the_package():
+    found = unused_public_names(sorted(PACKAGE_DIR.glob("*.py")))
+    allowed = sorted(
+        line for line in found if line.rsplit(" ", 1)[1] in UNUSED_ALLOWED
+    )
+    assert found == allowed
+    assert len(allowed) == len(UNUSED_ALLOWED)
+
+
+def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import exported\n", encoding="utf-8"
+    )
+    (tmp_path / "a.py").write_text(
+        "def exported():\n"
+        "    return exported()\n"
+        "class Node:\n"
+        "    child: Node\n"
+        "def called():\n"
+        "    return 1\n"
+        "def _private():\n"
+        "    return called()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Node\n", encoding="utf-8"
+    )
+    assert unused_public_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:1 exported",
+    ]

@@ -52,9 +52,9 @@ def chain(tmp_path):
 class TestLoaders:
     def test_chain_hierarchy(self, chain):
         assert len(chain) == 3
-        assert chain.hyponyms("D001") == {"D002"}
-        assert chain.hyponyms("D002") == {"D003"}
-        assert chain.hyponyms("D003") == frozenset()
+        assert chain.concepts["D001"].child_ids == {"D002"}
+        assert chain.concepts["D002"].child_ids == {"D003"}
+        assert chain.concepts["D003"].child_ids == frozenset()
         assert chain.roots() == ("D001",)
         assert chain.depth() == 3
 
@@ -242,7 +242,7 @@ def test_two_tree_positions_union_children():
         ("D_C3", "Child both", ["A.2", "B.2"], []),
     ]
     onto = build_ontology(rows)
-    assert onto.hyponyms("D_P") == {"D_C1", "D_C2", "D_C3"}
+    assert onto.concepts["D_P"].child_ids == {"D_C1", "D_C2", "D_C3"}
 
 
 # Keys with two and three senses, ranked by preferred name, then tree

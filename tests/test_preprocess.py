@@ -7,6 +7,7 @@ from ontoclass.errors import ParseError
 from ontoclass.ontology import build_ontology
 from ontoclass.porter import stem
 from ontoclass.preprocess import (
+    TermVector,
     load_stoplist,
     preprocess_corpus,
     preprocess_text,
@@ -55,6 +56,15 @@ def test_counts_match_stem_sequence():
     stop = frozenset()
     tv = preprocess_text("d1", "spin spin spun spinning", stop)
     assert Counter(tv.stems) == tv.counts
+
+
+def test_counts_are_derived_from_stems():
+    tv = TermVector("d1", ("walk", "clinic", "walk"))
+    assert tv.counts == {"walk": 2, "clinic": 1}
+    assert list(tv.counts) == ["walk", "clinic"]
+    assert tv.total() == 3
+    with pytest.raises(TypeError):
+        TermVector("d1", ("walk",), counts={"walk": 5})
 
 
 def test_preprocess_corpus_carries_labels():
