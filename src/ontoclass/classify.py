@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -69,8 +69,8 @@ def _as_query_matrix(query, n_cols: int) -> sparse.csr_matrix:
     return q
 
 
-def _majority_class(labels: Sequence[str]) -> str:
-    counts = Counter(labels)
+def _majority_class(counts: Mapping[str, int]) -> str:
+    """The most frequent class; a tie goes to the smaller name."""
     return min(counts, key=lambda c: (-counts[c], c))
 
 
@@ -96,7 +96,7 @@ def knn_predict_all(model: KnnModel, queries) -> list[tuple[str, dict[str, int]]
         r_sq = np.asarray(train.multiply(train).sum(axis=1)).ravel()
         d2 = np.maximum(q_sq[:, None] + r_sq[None, :] - 2.0 * dots, 0.0)
         sims = -np.sqrt(d2)
-    fallback = _majority_class(labels)
+    fallback = _majority_class(Counter(labels))
     zero_rows = np.asarray(q.multiply(q).sum(axis=1)).ravel() == 0.0
 
     out: list[tuple[str, dict[str, int]]] = []
@@ -312,12 +312,9 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
         bc = np.bincount(y[rows], minlength=len(cat_names))
         return {cat_names[i]: int(bc[i]) for i in range(len(cat_names)) if bc[i]}
 
-    def majority(counts: dict[str, int]) -> str:
-        return min(counts, key=lambda c: (-counts[c], c))
-
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         counts = counts_dict(rows)
-        cat = majority(counts)
+        cat = _majority_class(counts)
         if len(counts) == 1 or (
             config.max_depth is not None and depth >= config.max_depth
         ):

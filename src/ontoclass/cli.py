@@ -115,17 +115,18 @@ def _cmd_ontology_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _vectors_for(config: ExperimentConfig):
+def _inputs(config: ExperimentConfig):
+    """The labeled corpus, and the ontology unless the run uses stems,
+    which need no thesaurus."""
     corpus = _load_labeled_corpus(config)
-    ontology = None
-    if config.representation != "stems":
-        ontology = _load_ontology(config)
-    return corpus, representation_vectors(corpus, ontology, config)
+    if config.representation == "stems":
+        return corpus, None
+    return corpus, _load_ontology(config)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    _, vectors = _vectors_for(config)
+    vectors = representation_vectors(*_inputs(config), config)
     matrix = count_matrix(vectors)
     out = _out_dir(config) / "vectors.mtx"
     save_matrix(matrix, out)
@@ -136,7 +137,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    corpus, vectors = _vectors_for(config)
+    corpus, ontology = _inputs(config)
+    vectors = representation_vectors(corpus, ontology, config)
     if not corpus.categories:
         raise ConfigError("corpus.label_map", "labeled corpus required for select")
     space = select_top_k(
@@ -155,10 +157,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    corpus = _load_labeled_corpus(config)
-    ontology = None
-    if config.representation != "stems":
-        ontology = _load_ontology(config)
+    corpus, ontology = _inputs(config)
     report = run_experiment(corpus, ontology, config, threads=args.threads)
     csv_path, txt_path = write_report(report, _out_dir(config))
     print(render_table(report), end="")

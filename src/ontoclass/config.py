@@ -23,35 +23,33 @@ ONTOLOGY_FORMATS = ("tsv", "mesh-ascii")
 REPRESENTATIONS = ("stems", "concepts", "concepts_hyperonyms")
 CLASSIFIERS = ("knn", "c45")
 
-#: section, key, ExperimentConfig field, type tag
-_SCHEMA = (
-    ("corpus", "path", "corpus_path", "path"),
-    ("corpus", "format", "corpus_format", "str"),
-    ("corpus", "label_map", "label_map", "path"),
-    ("corpus", "categories", "categories", "list"),
-    ("corpus", "label_policy", "label_policy", "str"),
-    ("preprocess", "stoplist", "stoplist", "path"),
-    ("ontology", "path", "ontology_path", "path"),
-    ("ontology", "format", "ontology_format", "str"),
-    ("mapping", "representation", "representation", "str"),
-    ("mapping", "strategy", "strategy", "str"),
-    ("mapping", "disambiguation", "disambiguation", "str"),
-    ("mapping", "hyperonym_variant", "hyperonym_variant", "str"),
-    ("mapping", "use_mesh_annotations", "use_mesh_annotations", "bool"),
-    ("features", "k", "k_features", "int"),
-    ("features", "weighting", "weighting", "str"),
-    ("classify", "classifier", "classifier", "str"),
-    ("classify", "knn_k", "knn_k", "int"),
-    ("classify", "knn_similarity", "knn_similarity", "str"),
-    ("classify", "tree_min_leaf", "tree_min_leaf", "int"),
-    ("classify", "tree_max_depth", "tree_max_depth", "int"),
-    ("classify", "tree_prune", "tree_prune", "bool"),
-    ("evaluate", "n_folds", "n_folds", "int"),
-    ("evaluate", "seed", "seed", "int"),
-    ("cli", "output_dir", "output_dir", "path"),
-)
-
-_FIELD_NAME = {(section, key): field for section, key, field, _ in _SCHEMA}
+#: (section, key) -> (ExperimentConfig field, type tag), in report order
+_SCHEMA = {
+    ("corpus", "path"): ("corpus_path", "path"),
+    ("corpus", "format"): ("corpus_format", "str"),
+    ("corpus", "label_map"): ("label_map", "path"),
+    ("corpus", "categories"): ("categories", "list"),
+    ("corpus", "label_policy"): ("label_policy", "str"),
+    ("preprocess", "stoplist"): ("stoplist", "path"),
+    ("ontology", "path"): ("ontology_path", "path"),
+    ("ontology", "format"): ("ontology_format", "str"),
+    ("mapping", "representation"): ("representation", "str"),
+    ("mapping", "strategy"): ("strategy", "str"),
+    ("mapping", "disambiguation"): ("disambiguation", "str"),
+    ("mapping", "hyperonym_variant"): ("hyperonym_variant", "str"),
+    ("mapping", "use_mesh_annotations"): ("use_mesh_annotations", "bool"),
+    ("features", "k"): ("k_features", "int"),
+    ("features", "weighting"): ("weighting", "str"),
+    ("classify", "classifier"): ("classifier", "str"),
+    ("classify", "knn_k"): ("knn_k", "int"),
+    ("classify", "knn_similarity"): ("knn_similarity", "str"),
+    ("classify", "tree_min_leaf"): ("tree_min_leaf", "int"),
+    ("classify", "tree_max_depth"): ("tree_max_depth", "int"),
+    ("classify", "tree_prune"): ("tree_prune", "bool"),
+    ("evaluate", "n_folds"): ("n_folds", "int"),
+    ("evaluate", "seed"): ("seed", "int"),
+    ("cli", "output_dir"): ("output_dir", "path"),
+}
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,7 @@ class ExperimentConfig:
     output_dir: str = "out"
     #: the directory relative paths resolve against: the config file's,
     #: once `load_config` has read it
-    base_dir: Path = field(default=Path("."), init=False, repr=False,
-                           compare=False)
+    base_dir: Path = field(default=Path("."), repr=False, compare=False)
 
     def resolve(self, value: str | None) -> Path | None:
         """A path value of this config, resolved against `base_dir`; None
@@ -95,7 +92,7 @@ class ExperimentConfig:
     def echo(self) -> tuple[tuple[str, str], ...]:
         """Flat (section.key, value) pairs in schema order, for reports."""
         out = []
-        for section, key, field, kind in _SCHEMA:
+        for (section, key), (field, kind) in _SCHEMA.items():
             value = getattr(self, field)
             if value is None:
                 rendered = ""
@@ -116,9 +113,8 @@ def _check_enum(value: str, allowed: tuple[str, ...], field: str) -> None:
         )
 
 
-def validate_config(config: ExperimentConfig, base_dir: str | Path = ".") -> None:
+def validate_config(config: ExperimentConfig) -> None:
     """Check enums, numeric ranges and path existence; raises ConfigError."""
-    base = Path(base_dir)
     _check_enum(config.corpus_format, CORPUS_FORMATS, "corpus.format")
     _check_enum(config.label_policy, LABEL_POLICIES, "corpus.label_policy")
     _check_enum(config.ontology_format, ONTOLOGY_FORMATS, "ontology.format")
@@ -159,8 +155,9 @@ def validate_config(config: ExperimentConfig, base_dir: str | Path = ".") -> Non
         ("ontology.path", config.ontology_path),
         ("preprocess.stoplist", config.stoplist),
     ):
-        if value and not (base / value).exists():
-            raise ConfigError(field_name, f"path does not exist: {base / value}")
+        path = config.resolve(value)
+        if path is not None and not path.exists():
+            raise ConfigError(field_name, f"path does not exist: {path}")
 
 
 def resolve_path(config_value: str, base_dir: str | Path) -> Path:
@@ -180,18 +177,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError("config", f"bad INI syntax: {exc}") from None
 
-    known_sections = {section for section, _, _, _ in _SCHEMA}
+    known_sections = {section for section, _ in _SCHEMA}
     values: dict[str, object] = {}
     for section in parser.sections():
         if section not in known_sections:
             raise ConfigError(section, "unknown section")
         for key, raw in parser.items(section):
-            field = _FIELD_NAME.get((section, key))
-            if field is None:
+            if (section, key) not in _SCHEMA:
                 raise ConfigError(f"{section}.{key}", "unknown key")
-            kind = next(
-                k for s, ky, f, k in _SCHEMA if s == section and ky == key
-            )
+            field, kind = _SCHEMA[section, key]
             try:
                 if kind == "int":
                     values[field] = int(raw)
@@ -208,8 +202,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                     f"{section}.{key}", f"cannot parse {raw!r} as {kind}"
                 ) from None
 
-    config = ExperimentConfig(**values)
-    object.__setattr__(config, "base_dir", path.parent)
-    validate_config(config, base_dir=path.parent)
+    config = ExperimentConfig(**values, base_dir=path.parent)
+    validate_config(config)
     return config
 

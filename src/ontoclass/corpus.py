@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -90,6 +90,9 @@ class Corpus:
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for i, cat in enumerate(self.categories):
+            if cat in self.categories[:i]:
+                raise OntoclassError(f"category {cat!r} listed more than once")
         seen = set()
         for doc in self.documents:
             if doc.doc_id in seen:
@@ -303,9 +306,6 @@ def assign_labels(
     """
     if policy not in LABEL_POLICIES:
         raise OntoclassError(f"unknown label policy {policy!r}")
-    for i, cat in enumerate(categories or ()):
-        if cat in categories[:i]:
-            raise OntoclassError(f"category {cat!r} listed more than once")
     known_ids = {doc.doc_id for doc in corpus.documents}
     for doc_id in label_map:
         if doc_id not in known_ids:
@@ -326,10 +326,8 @@ def assign_labels(
         if not labels:
             dropped.append(doc.doc_id)
             continue
-        if policy == "first-label" or len(labels) == 1:
-            documents.append(replace(doc, labels=(labels[0],)))
-        else:
-            documents.append(replace(doc, labels=(labels[0],)))
+        documents.append(replace(doc, labels=(labels[0],)))
+        if policy == "duplicate":
             for i, lab in enumerate(labels[1:], start=2):
                 documents.append(
                     replace(doc, doc_id=f"{doc.doc_id}::{i}", labels=(lab,))
@@ -337,11 +335,7 @@ def assign_labels(
     if categories is None:
         # first-appearance order over the labels actually kept, so every
         # category ends up non-empty
-        ordered: list[str] = []
-        for doc in documents:
-            if doc.labels[0] not in ordered:
-                ordered.append(doc.labels[0])
-        categories = ordered
+        categories = dict.fromkeys(doc.labels[0] for doc in documents)
     n_dropped = len(dropped) - len(corpus.dropped)
     if n_dropped:
         log.warning("dropped %d document(s) with no label in the category subset",

@@ -149,7 +149,7 @@ def representation_vectors(
     mesh_by_doc = None
     if config.use_mesh_annotations:
         mesh_by_doc = {d.doc_id: d.mesh_annotations for d in corpus.documents}
-    return map_corpus(term_vectors, ontology, mcfg, mesh_by_doc, stopwords)
+    return map_corpus(term_vectors, ontology, mcfg, mesh_by_doc)
 
 
 def run_experiment(

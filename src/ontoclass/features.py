@@ -133,9 +133,8 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     """Raw descriptor counts, one row per document.
 
     Columns are in descriptor (string) order; each row keeps its entries
-    in the vector's own order, so the first-seen order of the descriptors
-    can be read off `values.indices`. An unlabeled document gets the
-    label "".
+    in the vector's own order, which fixes the order of the float sums
+    downstream. An unlabeled document gets the label "".
     """
     col_of: dict[str, int] = {}
     indptr = [0]
@@ -224,7 +223,7 @@ class FeatureSpace:
     first occurrence wins. `per_category_scores` maps every (category,
     training descriptor) pair to its chi-square value, selected or not;
     `select_top_k` makes it a read-only `ScoreTable` over its score grid,
-    categories in corpus order and descriptors in first-seen order.
+    categories in corpus order and descriptors in column (string) order.
     `selected` has one entry per category, and `df[i]` counts the
     training categories that hold `descriptors[i]`.
     """
@@ -289,12 +288,9 @@ def select_top_k(
         ) from None
 
     # The count columns the rows hold, in descriptor order, so a score tie
-    # goes to the lower column, i.e. the smaller descriptor. A row slice
-    # keeps each row's entry order, so the first position of each column
-    # in `indices` gives the first-seen order of `per_category_scores`.
+    # goes to the lower column, i.e. the smaller descriptor.
     x = counts.values
-    held, first = np.unique(x.indices, return_index=True)
-    seen = np.argsort(first)
+    held = np.unique(x.indices)
     vocab = [counts.descriptors[c] for c in held.tolist()]
     n_docs, n_rows, n_desc = len(vectors), len(row_of), len(vocab)
     n11_grid = np.bincount(
@@ -327,7 +323,7 @@ def select_top_k(
             for n11, freq in (divmod(t, n_docs + 1) for t in tables.tolist())
         ]
         row_scores = np.asarray(distinct, dtype=np.float64)[inverse]
-        scores[row] = row_scores[seen]
+        scores[row] = row_scores
         positive = np.flatnonzero(row_scores > 0)
         order = np.lexsort((positive, -row_scores[positive]))
         chosen = positive[order[:k]].tolist()
@@ -336,8 +332,7 @@ def select_top_k(
 
     return FeatureSpace(
         descriptors=tuple(vocab[c] for c in union),
-        per_category_scores=ScoreTable(
-            row_of, [vocab[i] for i in seen.tolist()], scores),
+        per_category_scores=ScoreTable(row_of, vocab, scores),
         k_per_category=k,
         selected=selected,
         df=tuple(category_freq[list(union)].tolist()),

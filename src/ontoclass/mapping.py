@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import OntoclassError, OntologyError
 from .ontology import MAX_PHRASE_LEN, Ontology, phrase_key
-from .preprocess import TermVector, load_stoplist
+from .preprocess import TermVector
 
 log = logging.getLogger(__name__)
 
@@ -42,16 +42,9 @@ class HybridVector:
     """A document in mixed stem/concept space."""
 
     doc_id: str
-    strategy: str
     term_part: dict[str, int]
     concept_part: ConceptVector
     labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise OntoclassError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "ConceptOnly" and self.term_part:
-            raise OntoclassError("ConceptOnly vector carries terms")
 
     def dimensionality(self) -> int:
         return len(self.term_part) + len(self.concept_part.counts)
@@ -80,43 +73,41 @@ class MappingConfig:
             )
 
 
+def _senses(candidates: tuple[str, ...], disamb: str) -> tuple[str, ...]:
+    """The candidate concepts one match counts toward: all of them under
+    AllConcepts, only the head (most canonical sense) under FirstConcept."""
+    return candidates if disamb == "AllConcepts" else candidates[:1]
+
+
 def match_phrases(
     term_vector: TermVector, ontology: Ontology, disamb: str = "AllConcepts"
 ) -> tuple[ConceptVector, set[str]]:
     """Find concept matches in a stem sequence.
 
     Matching scans left to right taking the longest indexed window (up to
-    MAX_PHRASE_LEN stems) at each position; windows never overlap. Under
-    AllConcepts every candidate concept of a matched key receives the full
-    occurrence count; under FirstConcept only the head of the candidate
-    list does. Returns the concept counts and the set of stems inside any
-    match.
+    MAX_PHRASE_LEN stems) at each position; windows never overlap. Each
+    match counts once toward the senses `_senses` picks. Returns the
+    concept counts and the set of stems inside any match.
     """
     if disamb not in DISAMBIGUATIONS:
         raise OntoclassError(f"unknown disambiguation {disamb!r}")
 
-    key_counts: dict[str, int] = {}
+    counts: dict[str, int] = {}
     consumed: set[str] = set()
     stems = term_vector.stems
     i = 0
     n = len(stems)
     while i < n:
         for width in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
-            key = " ".join(stems[i : i + width])
-            if ontology.lookup_concepts(key):
-                key_counts[key] = key_counts.get(key, 0) + 1
+            candidates = ontology.lookup_concepts(" ".join(stems[i : i + width]))
+            if candidates:
+                for cid in _senses(candidates, disamb):
+                    counts[cid] = counts.get(cid, 0) + 1
                 consumed.update(stems[i : i + width])
                 i += width
                 break
         else:
             i += 1
-
-    counts: dict[str, int] = {}
-    for key, n in key_counts.items():
-        candidates = ontology.lookup_concepts(key)
-        targets = candidates if disamb == "AllConcepts" else candidates[:1]
-        for cid in targets:
-            counts[cid] = counts.get(cid, 0) + n
     return ConceptVector(counts), consumed
 
 
@@ -141,9 +132,7 @@ def enrich_hyperonyms(
         for parent in ontology.concepts[cid].parent_ids:
             from_children[parent] = from_children.get(parent, 0) + n
     if variant == "hyponyms-only":
-        merged = dict(from_children)
-        for cid in concepts.counts:
-            merged.setdefault(cid, 0)
+        merged = from_children
     else:
         merged = dict(concepts.counts)
         for cid, n in from_children.items():
@@ -156,32 +145,26 @@ def map_document(
     ontology: Ontology,
     config: MappingConfig,
     mesh_terms: Sequence[str] = (),
-    stopwords: frozenset[str] | None = None,
 ) -> HybridVector:
     """Build the document's hybrid representation.
 
     AddConcept keeps every original stem next to the matched concepts;
     ReplaceTerms drops the stems that contributed to a match; ConceptOnly
     drops all stems. Thesaurus annotation phrases (`mesh_terms`) only
-    contribute when the config opts in; each annotation counts once.
+    contribute when the config opts in; each annotation counts once, and
+    is keyed with the thesaurus's own stoplist.
     """
     concept_vec, consumed = match_phrases(
         term_vector, ontology, config.disambiguation
     )
     counts = dict(concept_vec.counts)
 
-    if config.use_mesh_annotations and mesh_terms:
-        if stopwords is None:
-            stopwords = load_stoplist()
+    if config.use_mesh_annotations:
         for term in mesh_terms:
-            candidates = ontology.lookup_concepts(phrase_key(term, stopwords))
-            if not candidates:
-                continue
-            targets = (
-                candidates if config.disambiguation == "AllConcepts"
-                else candidates[:1]
+            candidates = ontology.lookup_concepts(
+                phrase_key(term, ontology.stopwords)
             )
-            for cid in targets:
+            for cid in _senses(candidates, config.disambiguation):
                 counts[cid] = counts.get(cid, 0) + 1
     concept_vec = ConceptVector(counts)
 
@@ -200,7 +183,6 @@ def map_document(
         term_part = {}
     return HybridVector(
         doc_id=term_vector.doc_id,
-        strategy=config.strategy,
         term_part=term_part,
         concept_part=concept_vec,
         labels=term_vector.labels,
@@ -212,18 +194,11 @@ def map_corpus(
     ontology: Ontology,
     config: MappingConfig,
     mesh_by_doc: Mapping[str, Sequence[str]] | None = None,
-    stopwords: frozenset[str] | None = None,
 ) -> list[HybridVector]:
     """Map every document; `mesh_by_doc` supplies annotation phrases."""
-    if config.use_mesh_annotations and stopwords is None:
-        stopwords = load_stoplist()
     mesh_by_doc = mesh_by_doc or {}
     return [
-        map_document(
-            tv, ontology, config,
-            mesh_terms=mesh_by_doc.get(tv.doc_id, ()),
-            stopwords=stopwords,
-        )
+        map_document(tv, ontology, config, mesh_by_doc.get(tv.doc_id, ()))
         for tv in term_vectors
     ]
 
@@ -232,7 +207,6 @@ def stems_only(term_vector: TermVector) -> HybridVector:
     """The baseline representation: stems pass through untouched."""
     return HybridVector(
         doc_id=term_vector.doc_id,
-        strategy="AddConcept",
         term_part=dict(term_vector.counts),
         concept_part=ConceptVector({}),
         labels=term_vector.labels,

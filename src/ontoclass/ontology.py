@@ -44,10 +44,13 @@ class Ontology:
 
     `phrase_index` maps a stemmed-phrase key to the ordered candidate
     concept list (most canonical sense first); every query is read-only.
+    `stopwords` is the stoplist the keys were built with, so any other
+    phrase is keyed the same way.
     """
 
     concepts: dict[str, Concept]
     phrase_index: dict[str, tuple[str, ...]]
+    stopwords: frozenset[str]
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -286,7 +289,8 @@ def build_ontology(
         for key, cids in exact.items()
     }
 
-    onto = Ontology(concepts=concepts, phrase_index=phrase_index)
+    onto = Ontology(concepts=concepts, phrase_index=phrase_index,
+                    stopwords=stopwords)
     onto.depth()  # raises on a hierarchy cycle
     if log.isEnabledFor(logging.INFO):
         log.info(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,11 @@ class TestLoadConfig:
         assert there.resolve(None) is None
         assert ExperimentConfig().base_dir == Path(".")
 
+    def test_replace_keeps_its_directory(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        path = write_config(tmp_path / "sub", FULL_INI)
+        assert replace(load_config(path), seed=1).base_dir == tmp_path / "sub"
+
     def test_semicolon_separated_categories_keep_commas(self, tmp_path):
         config = load_config(write_config(tmp_path, FULL_INI))
         assert config.categories == ("Heart", "Lung, Chronic", "Kidney")
@@ -178,21 +184,21 @@ class TestValidateConfig:
         (tmp_path / "o.tsv").write_text("", encoding="utf-8")
         defaults = dict(corpus_path="c.txt", ontology_path="o.tsv")
         defaults.update(kwargs)
-        return ExperimentConfig(**defaults)
+        return ExperimentConfig(**defaults, base_dir=tmp_path)
 
     def test_accepts_valid_config(self, tmp_path):
-        validate_config(self.base(tmp_path), base_dir=tmp_path)
+        validate_config(self.base(tmp_path))
 
     def test_corpus_path_required(self, tmp_path):
         with pytest.raises(ConfigError, match="corpus.path: required"):
-            validate_config(ExperimentConfig(), base_dir=tmp_path)
+            validate_config(ExperimentConfig(base_dir=tmp_path))
 
     def test_ontology_needed_unless_stems(self, tmp_path):
         config = self.base(tmp_path, ontology_path=None)
         with pytest.raises(ConfigError, match="ontology.path: required"):
-            validate_config(config, base_dir=tmp_path)
+            validate_config(config)
         stems = self.base(tmp_path, ontology_path=None, representation="stems")
-        validate_config(stems, base_dir=tmp_path)
+        validate_config(stems)
 
     @pytest.mark.parametrize(
         "field,kwargs",
@@ -206,7 +212,7 @@ class TestValidateConfig:
     )
     def test_numeric_bounds_name_their_field(self, tmp_path, field, kwargs):
         with pytest.raises(ConfigError) as err:
-            validate_config(self.base(tmp_path, **kwargs), base_dir=tmp_path)
+            validate_config(self.base(tmp_path, **kwargs))
         assert err.value.field == field
 
     @pytest.mark.parametrize(
@@ -225,14 +231,14 @@ class TestValidateConfig:
     )
     def test_enum_errors_name_their_field(self, tmp_path, field, kwargs):
         with pytest.raises(ConfigError) as err:
-            validate_config(self.base(tmp_path, **kwargs), base_dir=tmp_path)
+            validate_config(self.base(tmp_path, **kwargs))
         assert err.value.field == field
 
 
     def test_repeated_category_names_the_field(self, tmp_path):
         config = self.base(tmp_path, categories=("Heart", "Lung", "Heart"))
         with pytest.raises(ConfigError, match="'Heart' listed more than once") as err:
-            validate_config(config, base_dir=tmp_path)
+            validate_config(config)
         assert err.value.field == "corpus.categories"
 
     def test_repeated_category_rejected_on_load(self, tmp_path):

@@ -276,6 +276,16 @@ class TestJsonlMalformed:
         with pytest.raises(ParseError, match=f"line 2: {message}"):
             load_corpus_jsonl(path)
 
+    def test_meta_category_listed_twice(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"_meta": {"categories": ["A", "A", "B"]}}\n'
+            '{"doc_id": "1", "labels": ["A"]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(OntoclassError, match="'A' listed more than once"):
+            load_corpus_jsonl(path)
+
     def test_meta_not_an_object(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"_meta": ["A"]}\n', encoding="utf-8")

@@ -29,7 +29,6 @@ from ontoclass.mapping import ConceptVector, HybridVector
 def hv(doc_id, terms, concepts=None, label=None):
     return HybridVector(
         doc_id=doc_id,
-        strategy="AddConcept",
         term_part=dict(terms),
         concept_part=ConceptVector(concepts or {}),
         labels=(label,) if label else (),
@@ -341,7 +340,7 @@ def select_top_k_reference(vectors, k, categories=None):
     for cat in cats:
         size = cat_sizes[cat]
         ranked = []
-        for desc, by_cat in presence.items():
+        for desc, by_cat in sorted(presence.items()):
             with_desc = sum(by_cat.values())
             n11 = by_cat[cat]
             score = chi_square(ContingencyTable(

@@ -3,7 +3,6 @@ import pytest
 from ontoclass.errors import OntoclassError, OntologyError
 from ontoclass.mapping import (
     ConceptVector,
-    HybridVector,
     MappingConfig,
     enrich_hyperonyms,
     map_corpus,
@@ -12,7 +11,7 @@ from ontoclass.mapping import (
     stems_only,
 )
 from ontoclass.ontology import build_ontology
-from ontoclass.preprocess import load_stoplist, preprocess_text
+from ontoclass.preprocess import TermVector, load_stoplist, preprocess_text
 
 STOP = load_stoplist()
 
@@ -263,7 +262,6 @@ class TestMeshAnnotations:
         hv = map_document(
             doc_vector("patient history"), onto, config,
             mesh_terms=("Appendicitis", "Nonexistent Heading"),
-            stopwords=STOP,
         )
         assert hv.concept_part.counts == {"D064": 1}
 
@@ -272,9 +270,21 @@ class TestMeshAnnotations:
         config = MappingConfig(use_mesh_annotations=True)
         hv = map_document(
             doc_vector(FIGURE_TEXT), onto, config,
-            mesh_terms=("Appendicitis",), stopwords=STOP,
+            mesh_terms=("Appendicitis",),
         )
         assert hv.concept_part.counts == {"D064": 4}
+
+    def test_annotations_keyed_with_the_thesaurus_stoplist(self):
+        # "acute" is a stopword of the thesaurus only: the index holds
+        # "append", and the annotation must be keyed the same way
+        rows = [("D1", "Acute Appendicitis", ["C01"], [])]
+        onto = build_ontology(rows, load_stoplist() | {"acute"})
+        out = map_corpus(
+            [TermVector("d", ("patient",))], onto,
+            MappingConfig(use_mesh_annotations=True),
+            {"d": ("Acute Appendicitis",)},
+        )
+        assert out[0].concept_part.counts == {"D1": 1}
 
 
 class TestMapCorpus:
@@ -293,7 +303,7 @@ class TestMapCorpus:
         vecs = [doc_vector("patient", doc_id="a"),
                 doc_vector("patient", doc_id="b")]
         out = map_corpus(vecs, onto, config,
-                         mesh_by_doc={"b": ("Appendiceal",)}, stopwords=STOP)
+                         mesh_by_doc={"b": ("Appendiceal",)})
         assert out[0].concept_part.counts == {}
         assert out[1].concept_part.counts == {"D064": 1}
 
@@ -306,13 +316,7 @@ class TestVectorTypes:
         with pytest.raises(OntoclassError):
             ConceptVector({"A": -1})
 
-    def test_concept_only_hybrid_rejects_terms(self):
-        with pytest.raises(OntoclassError):
-            HybridVector("d", "ConceptOnly", {"x": 1}, ConceptVector({}))
-
     def test_bad_strategy_rejected(self):
-        with pytest.raises(OntoclassError):
-            HybridVector("d", "Merge", {}, ConceptVector({}))
         with pytest.raises(OntoclassError):
             MappingConfig(strategy="Merge")
         with pytest.raises(OntoclassError):

@@ -48,6 +48,50 @@ def test_checker_sees_relative_and_absolute_private_imports(tmp_path):
     ]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names that one file imports but never reads as a plain name;
+    `from __future__` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    found.append(f"{path.name}:{node.lineno} {bound}")
+    return found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = [path for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(modules) > 5
+    assert [line for path in modules for line in unused_imports(path)] == []
+
+
+def test_unused_import_checker_sees_names_never_read(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Mapping\n"
+        "from .errors import OntoclassError\n"
+        "def f(x: Mapping) -> None:\n"
+        "    np.zeros(1)\n"
+        "    raise OntoclassError(dataclass)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(path) == [
+        "sample.py:2 os",
+        "sample.py:4 field",
+    ]
+
+
 #: Public names that no module of the package calls, and why they stay.
 UNUSED_ALLOWED = {
     "knn_predict": "single-row reference for knn_predict_all in the tests",
