@@ -7,9 +7,7 @@ from .classify import (
     KnnModel,
     TreeConfig,
     TreeNode,
-    c45_predict,
     c45_train,
-    knn_predict,
     knn_train,
 )
 from .config import ExperimentConfig, load_config
@@ -95,13 +93,11 @@ __all__ = [
     "assign_labels",
     "build_matrix",
     "build_ontology",
-    "c45_predict",
     "c45_train",
     "chi_square",
     "enrich_hyperonyms",
     "f_measure",
     "import_mesh_ascii",
-    "knn_predict",
     "knn_train",
     "load_config",
     "load_label_map",

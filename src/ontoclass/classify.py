@@ -2,8 +2,8 @@
 binary numeric-threshold decision tree grown on gain ratio with optional
 pessimistic pruning.
 
-Both consume a WeightedMatrix whose rows are already L2-normalized, so
-cosine similarity reduces to a dot product.
+Both take a fold's WeightedMatrix, whose rows are already L2-normalized,
+so cosine similarity reduces to a dot product.
 """
 
 from __future__ import annotations
@@ -51,22 +51,7 @@ class KnnModel:
 def knn_train(
     matrix: WeightedMatrix, k: int = DEFAULT_KNN_K, similarity: str = "cosine"
 ) -> KnnModel:
-    if matrix.values.shape[0] == 0:
-        raise OntoclassError("empty training matrix")
     return KnnModel(matrix=matrix, k=k, similarity=similarity)
-
-
-def _as_query_matrix(query, n_cols: int) -> sparse.csr_matrix:
-    if sparse.issparse(query):
-        q = query.tocsr()
-    else:
-        arr = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        q = sparse.csr_matrix(arr)
-    if q.shape[1] != n_cols:
-        raise OntoclassError(
-            f"query has {q.shape[1]} columns, model expects {n_cols}"
-        )
-    return q
 
 
 def _majority_class(counts: Mapping[str, int]) -> str:
@@ -74,20 +59,23 @@ def _majority_class(counts: Mapping[str, int]) -> str:
     return min(counts, key=lambda c: (-counts[c], c))
 
 
-def knn_predict_all(model: KnnModel, queries) -> list[tuple[str, dict[str, int]]]:
-    """Classify each query row; returns (category, neighbor votes) pairs.
+def knn_predict_all(
+    model: KnnModel, queries: WeightedMatrix
+) -> list[tuple[str, dict[str, int]]]:
+    """Classify each row of the fold's test matrix, which must share the
+    model's descriptors; returns (category, neighbor votes) pairs.
 
     Neighbors are the k most similar training rows (ties toward the
     earlier row); the winning category has the most votes, with ties
     broken by larger summed similarity, then by name. A zero query under
     cosine matches nothing and falls back to the training majority class
-    with empty votes.
+    with empty votes; one warning counts them.
     """
-    if isinstance(queries, WeightedMatrix):
-        queries = queries.values
+    if queries.descriptors != model.matrix.descriptors:
+        raise OntoclassError("queries and model are over different descriptors")
     train = model.matrix.values
     labels = model.matrix.labels
-    q = _as_query_matrix(queries, train.shape[1])
+    q = queries.values
     dots = np.asarray((q @ train.T).todense())
     if model.similarity == "cosine":
         sims = dots
@@ -98,11 +86,14 @@ def knn_predict_all(model: KnnModel, queries) -> list[tuple[str, dict[str, int]]
         sims = -np.sqrt(d2)
     fallback = _majority_class(Counter(labels))
     zero_rows = np.asarray(q.multiply(q).sum(axis=1)).ravel() == 0.0
+    zero_rows &= model.similarity == "cosine"
+    if zero_rows.any():
+        log.warning("%d zero query vectors; using majority class %r",
+                    zero_rows.sum(), fallback)
 
     out: list[tuple[str, dict[str, int]]] = []
     for i in range(q.shape[0]):
-        if model.similarity == "cosine" and zero_rows[i]:
-            log.warning("zero query vector; using majority class %r", fallback)
+        if zero_rows[i]:
             out.append((fallback, {}))
             continue
         order = np.argsort(-sims[i], kind="stable")[: model.k]
@@ -115,10 +106,6 @@ def knn_predict_all(model: KnnModel, queries) -> list[tuple[str, dict[str, int]]
         winner = min(votes, key=lambda c: (-votes[c], -sum_sim[c], c))
         out.append((winner, votes))
     return out
-
-
-def knn_predict(model: KnnModel, query) -> tuple[str, dict[str, int]]:
-    return knn_predict_all(model, query)[0]
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -385,22 +372,9 @@ def _prune(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
     return replace(node, left=left, right=right), subtree_errors
 
 
-def c45_predict(tree: TreeNode, query) -> str:
-    if sparse.issparse(query):
-        query = np.asarray(query.todense()).ravel()
-    else:
-        query = np.asarray(query, dtype=np.float64).ravel()
-    node = tree
-    while not node.is_leaf:
-        node = node.left if query[node.col] <= node.threshold else node.right
-    return node.category
-
-
-def c45_predict_all(tree: TreeNode, queries) -> list[str]:
-    """Classify each query row, routing all rows down the tree together."""
-    if isinstance(queries, WeightedMatrix):
-        queries = queries.values
-    q = sparse.csc_matrix(queries, dtype=np.float64, copy=True)
+def c45_predict_all(tree: TreeNode, queries: WeightedMatrix) -> list[str]:
+    """Classify each row of the fold's test matrix; rows descend together."""
+    q = sparse.csc_matrix(queries.values, dtype=np.float64, copy=True)
     q.sum_duplicates()
     goes_left = _router(q)
     out = np.empty(q.shape[0], dtype=object)

@@ -1,5 +1,7 @@
 """Command-line driver: ingest -> ontology-check -> map -> select ->
-evaluate -> report, each stage rerunnable from its cached outputs.
+evaluate -> report. Each stage reads the configured inputs; of the files
+the stages write, only `corpus.jsonl` (as a `jsonl` corpus) and
+`report.csv` are read back.
 
 Exit status 0 on success, 2 for configuration problems (the offending
 field is named), 1 for runtime failures.

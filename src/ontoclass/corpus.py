@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -353,17 +353,7 @@ def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
         meta = {"categories": list(corpus.categories), "dropped": list(corpus.dropped)}
         fh.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
         for doc in corpus.documents:
-            rec = {
-                "doc_id": doc.doc_id,
-                "title": doc.title,
-                "abstract": doc.abstract,
-                "mesh_annotations": list(doc.mesh_annotations),
-                "authors": doc.authors,
-                "source": doc.source,
-                "pub_type": doc.pub_type,
-                "labels": list(doc.labels),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(doc), sort_keys=True) + "\n")
 
 
 _JSONL_TEXT_FIELDS = ("title", "abstract", "authors", "source", "pub_type")
@@ -377,7 +367,9 @@ def _jsonl_strings(rec: dict, key: str, lineno: int) -> tuple[str, ...]:
 
 
 def load_corpus_jsonl(path: str | Path) -> Corpus:
-    documents: list[Document] = []
+    """Read a cache that `save_corpus_jsonl` wrote. A line that is malformed
+    or does not fit the lines before it raises ParseError naming it."""
+    documents: dict[str, Document] = {}
     categories: tuple[str, ...] = ()
     dropped: tuple[str, ...] = ()
     with open_utf8(path) as fh:
@@ -396,21 +388,34 @@ def load_corpus_jsonl(path: str | Path) -> Corpus:
                     raise ParseError("_meta is not a JSON object", lineno)
                 categories = _jsonl_strings(meta, "categories", lineno)
                 dropped = _jsonl_strings(meta, "dropped", lineno)
+                if lineno != 1:
+                    raise ParseError("_meta must be the first line", lineno)
+                repeated = [c for i, c in enumerate(categories) if c in categories[:i]]
+                if repeated:
+                    raise ParseError(f"category {repeated[0]!r} listed more than once",
+                                     lineno)
                 continue
             if "doc_id" not in rec:
                 raise ParseError("record has no doc_id", lineno)
-            if not isinstance(rec["doc_id"], str) or not rec["doc_id"]:
+            doc_id = rec["doc_id"]
+            if not isinstance(doc_id, str) or not doc_id:
                 raise ParseError("doc_id is not a non-empty string", lineno)
+            if doc_id in documents:
+                raise ParseError(f"duplicate doc_id {doc_id!r}", lineno)
             text = {key: rec.get(key, "") for key in _JSONL_TEXT_FIELDS}
             for key, value in text.items():
                 if not isinstance(value, str):
                     raise ParseError(f"{key} is not a string", lineno)
-            documents.append(
-                Document(
-                    doc_id=rec["doc_id"],
-                    mesh_annotations=_jsonl_strings(rec, "mesh_annotations", lineno),
-                    labels=_jsonl_strings(rec, "labels", lineno),
-                    **text,
-                )
+            labels = _jsonl_strings(rec, "labels", lineno)
+            unknown = [lab for lab in labels if lab not in categories]
+            if unknown:
+                raise ParseError(f"label {unknown[0]!r} is not in the _meta categories",
+                                 lineno)
+            documents[doc_id] = Document(
+                doc_id=doc_id,
+                mesh_annotations=_jsonl_strings(rec, "mesh_annotations", lineno),
+                labels=labels,
+                **text,
             )
-    return Corpus(documents=tuple(documents), categories=categories, dropped=dropped)
+    return Corpus(documents=tuple(documents.values()), categories=categories,
+                  dropped=dropped)

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import tracemalloc
@@ -17,10 +18,8 @@ from ontoclass.classify import (
     TreeNode,
     _entropy,
     _extra_errors,
-    c45_predict,
     c45_predict_all,
     c45_train,
-    knn_predict,
     knn_predict_all,
     knn_train,
     prune_tree,
@@ -39,6 +38,24 @@ def make_matrix(rows, labels, descriptors=None):
         values=sparse.csr_matrix(arr),
         labels=tuple(labels),
     )
+
+
+def knn_predict(model, query):
+    """Single-row reference for knn_predict_all: one query row, wrapped as
+    a matrix over the default descriptors that `make_matrix` gives."""
+    return knn_predict_all(model, make_matrix([query], ["?"]))[0]
+
+
+def c45_predict(tree, query):
+    """Single-row reference for c45_predict_all: a dense walk down the tree."""
+    if sparse.issparse(query):
+        query = np.asarray(query.todense()).ravel()
+    else:
+        query = np.asarray(query, dtype=np.float64).ravel()
+    node = tree
+    while not node.is_leaf:
+        node = node.left if query[node.col] <= node.threshold else node.right
+    return node.category
 
 
 def unit(x, y):
@@ -125,7 +142,7 @@ class TestKnnPredict:
     def test_batch_equals_single(self):
         rows, labels, model = self.fixture()
         queries = np.array([unit(1, 1), unit(5, 1), unit(1, 9), [0.0, 0.0]])
-        batched = knn_predict_all(model, queries)
+        batched = knn_predict_all(model, make_matrix(queries, ["?"] * 4))
         for i in range(queries.shape[0]):
             assert knn_predict(model, queries[i]) == batched[i]
 
@@ -137,12 +154,31 @@ class TestKnnPredict:
     def test_zero_query_falls_back_to_majority(self, caplog):
         rows = [unit(1, 0), unit(2, 1), unit(0, 1)]
         model = knn_train(make_matrix(rows, ["X", "X", "Y"]), k=1)
-        import logging
         with caplog.at_level(logging.WARNING, logger="ontoclass.classify"):
             cat, votes = knn_predict(model, [0.0, 0.0])
         assert cat == "X"
         assert votes == {}
         assert "zero query" in caplog.text
+
+    def test_zero_queries_log_one_warning_with_their_count(self, caplog):
+        rows = [unit(1, 0), unit(2, 1), unit(0, 1)]
+        model = knn_train(make_matrix(rows, ["X", "X", "Y"]), k=1)
+        queries = make_matrix([[0.0, 0.0], unit(0, 1), [0.0, 0.0], [0.0, 0.0]],
+                              ["?"] * 4)
+        with caplog.at_level(logging.WARNING, logger="ontoclass.classify"):
+            out = knn_predict_all(model, queries)
+        assert out == [("X", {}), ("Y", {"Y": 1}), ("X", {}), ("X", {})]
+        warnings = [r for r in caplog.records
+                    if r.name == "ontoclass.classify" and r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "3 zero query" in warnings[0].getMessage()
+
+    def test_query_in_another_descriptor_space_rejected(self):
+        _, _, model = self.fixture()
+        queries = make_matrix([unit(1, 4)], ["?"], descriptors=["t:f1", "t:f0"])
+        assert queries.values.shape[1] == model.matrix.values.shape[1]
+        with pytest.raises(OntoclassError, match="different descriptors"):
+            knn_predict_all(model, queries)
 
     def test_vote_tie_broken_by_summed_similarity(self):
         rows = [unit(1, 0), unit(2, 3)]
@@ -590,9 +626,11 @@ class TestSparseSplitEquivalence:
         with mock.patch.object(classify, "_BLOCK_CELLS", cells):
             tree = c45_train(m, config)
         assert_same_tree(tree, dense_c45_train(m, config))
-        for queries in (m.values, q):
-            row_by_row = [c45_predict(tree, queries[i])
-                          for i in range(queries.shape[0])]
+        for values in (m.values, q):
+            n = values.shape[0]
+            queries = WeightedMatrix(tuple(f"q{i}" for i in range(n)),
+                                     m.descriptors, values, ("?",) * n)
+            row_by_row = [c45_predict(tree, values[i]) for i in range(n)]
             assert c45_predict_all(tree, queries) == row_by_row
 
     @pytest.mark.parametrize("cells", [20, classify._BLOCK_CELLS])

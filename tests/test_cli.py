@@ -155,6 +155,14 @@ class TestSubcommands:
         assert out.startswith("category")
         assert "AvG" in out
 
+    def test_report_prints_exactly_the_evaluated_table(self, workspace, capsys):
+        # the CSV round trip loses no digit that the table shows
+        assert run(workspace, "evaluate") == 0
+        capsys.readouterr()
+        assert run(workspace, "report") == 0
+        out = capsys.readouterr().out
+        assert out == (workspace / "out" / "report.txt").read_text(encoding="utf-8")
+
     def test_report_without_cache_fails(self, workspace, capsys):
         assert run(workspace, "report") == 1
         err = capsys.readouterr().err

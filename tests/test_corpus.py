@@ -283,7 +283,30 @@ class TestJsonlMalformed:
             '{"doc_id": "1", "labels": ["A"]}\n',
             encoding="utf-8",
         )
-        with pytest.raises(OntoclassError, match="'A' listed more than once"):
+        with pytest.raises(ParseError, match="line 1: category 'A' listed more than once"):
+            load_corpus_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"doc_id": "1"}', '{"_meta": {"categories": ["A"]}}'],
+             "line 2: _meta must be the first line"),
+            (['{"_meta": {"categories": ["A"]}}', '{"_meta": {"categories": ["B"]}}'],
+             "line 2: _meta must be the first line"),
+            (['{"_meta": {"categories": ["A"]}}', '{"doc_id": "1", "labels": ["A"]}',
+              '{"doc_id": "1", "labels": ["A"]}'],
+             "line 3: duplicate doc_id '1'"),
+            (['{"_meta": {"categories": ["A"]}}', '{"doc_id": "1", "labels": ["A"]}',
+              '{"doc_id": "2", "labels": ["A", "B"]}'],
+             "line 3: label 'B' is not in the _meta categories"),
+        ],
+        ids=["meta_after_record", "second_meta", "duplicate_doc_id",
+             "label_outside_categories"],
+    )
+    def test_record_that_does_not_fit_earlier_lines(self, tmp_path, lines, message):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
             load_corpus_jsonl(path)
 
     def test_meta_not_an_object(self, tmp_path):

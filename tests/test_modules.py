@@ -92,13 +92,6 @@ def test_unused_import_checker_sees_names_never_read(tmp_path):
     ]
 
 
-#: Public names that no module of the package calls, and why they stay.
-UNUSED_ALLOWED = {
-    "knn_predict": "single-row reference for knn_predict_all in the tests",
-    "c45_predict": "single-row reference for c45_predict_all in the tests",
-}
-
-
 def unused_public_names(modules: list[Path]) -> list[str]:
     """Public module-level functions and classes that no other place in
     `modules` names. A definition naming itself does not count, and
@@ -130,12 +123,7 @@ def unused_public_names(modules: list[Path]) -> list[str]:
 
 
 def test_every_public_name_is_used_by_the_package():
-    found = unused_public_names(sorted(PACKAGE_DIR.glob("*.py")))
-    allowed = sorted(
-        line for line in found if line.rsplit(" ", 1)[1] in UNUSED_ALLOWED
-    )
-    assert found == allowed
-    assert len(allowed) == len(UNUSED_ALLOWED)
+    assert unused_public_names(sorted(PACKAGE_DIR.glob("*.py"))) == []
 
 
 def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
@@ -159,3 +147,35 @@ def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
     assert unused_public_names(sorted(tmp_path.glob("*.py"))) == [
         "a.py:1 exported",
     ]
+
+
+def reexported_names(init: Path) -> list[str]:
+    """Names that a package `__init__.py` imports from its own submodules."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+
+
+def test_export_list_matches_the_reexports():
+    exported = ontoclass.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(reexported_names(PACKAGE_DIR / "__init__.py"))
+    for name in exported:
+        getattr(ontoclass, name)
+
+
+def test_reexport_reader_sees_relative_imports_only(tmp_path):
+    path = tmp_path / "__init__.py"
+    path.write_text(
+        "from .a import one, two as second\n"
+        "from os import path\n"
+        "from .b import (\n"
+        "    three,\n"
+        ")\n"
+        "__all__ = ['one']\n",
+        encoding="utf-8",
+    )
+    assert reexported_names(path) == ["one", "second", "three"]
