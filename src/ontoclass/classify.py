@@ -223,7 +223,11 @@ def _score_cuts(
     pl = left_n / n
     split_info = -(pl * np.log2(pl) + (1 - pl) * np.log2(1 - pl))
     ratio = np.where(split_info > 0, gain / split_info, 0.0)
-    return g_col[keep], (below[keep] + g_val[keep]) / 2.0, gain, ratio
+    # the midpoint of two adjacent floats can round up to the upper one,
+    # which would send every row left; the lower value then cuts instead
+    below, above = below[keep], g_val[keep]
+    mid = (below + above) / 2.0
+    return g_col[keep], np.where(mid < above, mid, below), gain, ratio
 
 
 def _best_split(

@@ -25,33 +25,6 @@ log = logging.getLogger(__name__)
 #: line is treated as format drift and rejected loudly.
 KNOWN_TAGS = {".U", ".T", ".W", ".M", ".A", ".S", ".P"}
 
-#: The 23 disease categories of the standard Ohsumed benchmark split.
-OHSUMED_CATEGORIES = (
-    "Bacterial Infections and Mycoses",
-    "Virus Diseases",
-    "Parasitic Diseases",
-    "Neoplasms",
-    "Musculoskeletal Diseases",
-    "Digestive System Diseases",
-    "Stomatognathic Diseases",
-    "Respiratory Tract Diseases",
-    "Otorhinolaryngologic Diseases",
-    "Nervous System Diseases",
-    "Eye Diseases",
-    "Urologic and Male Genital Diseases",
-    "Female Genital Diseases and Pregnancy Complications",
-    "Cardiovascular Diseases",
-    "Hemic and Lymphatic Diseases",
-    "Neonatal Diseases and Abnormalities",
-    "Skin and Connective Tissue Diseases",
-    "Nutritional and Metabolic Diseases",
-    "Endocrine Diseases",
-    "Immunologic Diseases",
-    "Disorders of Environmental Origin",
-    "Animal Diseases",
-    "Pathological Conditions, Signs and Symptoms",
-)
-
 LABEL_POLICIES = ("first-label", "duplicate")
 
 
@@ -269,8 +242,10 @@ def parse_textdir(root: str | Path) -> Corpus:
 
 
 def load_label_map(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Read a ``doc_id<TAB>category[;category...]`` file."""
+    """Read a ``doc_id<TAB>category[;category...]`` file, one line per
+    doc_id."""
     label_map: dict[str, tuple[str, ...]] = {}
+    first_line: dict[str, int] = {}
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -283,6 +258,10 @@ def load_label_map(path: str | Path) -> dict[str, tuple[str, ...]]:
             labels = tuple(c.strip() for c in cats.split(";") if c.strip())
             if not doc_id or not labels:
                 raise ParseError("empty doc_id or empty category list", lineno)
+            if doc_id in first_line:
+                raise ParseError(f"doc_id {doc_id!r} already labeled on line "
+                                 f"{first_line[doc_id]}", lineno)
+            first_line[doc_id] = lineno
             label_map[doc_id] = labels
     return label_map
 

@@ -27,7 +27,13 @@ from .classify import (
 from .config import ExperimentConfig
 from .corpus import Corpus
 from .errors import ExperimentError, OntoclassError, ParseError, open_utf8
-from .features import WeightedMatrix, build_matrix, count_matrix, select_top_k
+from .features import (
+    WeightedMatrix,
+    build_matrix,
+    count_matrix,
+    require_labels,
+    select_top_k,
+)
 from .mapping import HybridVector, MappingConfig, map_corpus, stems_only
 from .ontology import Ontology
 from .preprocess import load_stoplist, preprocess_corpus
@@ -161,12 +167,15 @@ def run_experiment(
 ) -> EvalReport:
     """Cross-validate the configured pipeline on a labeled corpus.
 
-    Every fold fits its statistics and feature space on the training
-    folds only, then classifies the held-out fold; per-category tp/fp/fn
-    are pooled across folds before precision/recall/F. n_folds = 1 is a
-    diagnostic mode that trains and tests on the full corpus. Folds run
-    in a thread pool when threads > 1; results reduce in fold order, so
-    the report is identical for any thread count.
+    The documents are counted once, into one `count_matrix`; labels and
+    fold membership are read from it, and each fold takes its rows. Every
+    fold fits its feature space on its training rows only, weights its
+    training and held-out rows with `build_matrix`, then classifies the
+    held-out rows; per-category tp/fp/fn are pooled across folds before
+    precision/recall/F. n_folds = 1 is a diagnostic mode that trains and
+    tests on the full corpus. Folds run in a thread pool when threads > 1;
+    results reduce in fold order, so the report is identical for any
+    thread count.
     """
     if not corpus.documents:
         raise OntoclassError("empty corpus")
@@ -174,27 +183,25 @@ def run_experiment(
     if not categories:
         raise OntoclassError("corpus has no category list")
     vectors = representation_vectors(corpus, ontology, config)
-    labels = {v.doc_id: v.labels[0] for v in vectors}
-    # one count matrix per run; each fold takes its rows
     counts = count_matrix(vectors)
+    require_labels(counts)
 
     if config.n_folds == 1:
         log.warning("single-fold diagnostic mode: training set = test set")
         everything = list(range(len(vectors)))
         splits = [(everything, everything)]
     else:
-        plan = make_folds(labels, config.n_folds, config.seed)
-        splits = []
-        for fold in range(config.n_folds):
-            test_ids = plan.fold_ids(fold)
-            in_test = [v.doc_id in test_ids for v in vectors]
-            splits.append((
-                [i for i, held_out in enumerate(in_test) if not held_out],
-                [i for i, held_out in enumerate(in_test) if held_out],
-            ))
+        plan = make_folds(dict(zip(counts.doc_ids, counts.labels)),
+                          config.n_folds, config.seed)
+        fold_of = [plan.assignment[doc_id] for doc_id in counts.doc_ids]
+        splits = [
+            ([i for i, f in enumerate(fold_of) if f != fold],
+             [i for i, f in enumerate(fold_of) if f == fold])
+            for fold in range(config.n_folds)
+        ]
 
-    def rows(positions: list[int]) -> tuple[list[HybridVector], WeightedMatrix]:
-        return [vectors[i] for i in positions], WeightedMatrix(
+    def rows(positions: list[int]) -> WeightedMatrix:
+        return WeightedMatrix(
             doc_ids=tuple(counts.doc_ids[i] for i in positions),
             descriptors=counts.descriptors,
             values=counts.values[positions],
@@ -203,21 +210,19 @@ def run_experiment(
 
     def run_fold(fold: int) -> dict[str, list[int]]:
         try:
-            if not all(splits[fold]):
+            train, test = splits[fold]
+            if not (train and test):
                 raise OntoclassError("a fold came out empty")
-            train, train_counts = rows(splits[fold][0])
-            test, test_counts = rows(splits[fold][1])
+            train_counts, test_counts = rows(train), rows(test)
             recorder = None
             if fit_recorder is not None:
                 recorder = lambda doc_id: fit_recorder(fold, doc_id)
             space = select_top_k(
-                train, k=config.k_features, categories=categories,
-                recorder=recorder, counts=train_counts,
+                [vectors[i] for i in train], k=config.k_features,
+                categories=categories, recorder=recorder, counts=train_counts,
             )
-            train_m = build_matrix(train, space, weighting=config.weighting,
-                                   counts=train_counts)
-            test_m = build_matrix(test, space, weighting=config.weighting,
-                                  counts=test_counts)
+            train_m = build_matrix(train_counts, space, weighting=config.weighting)
+            test_m = build_matrix(test_counts, space, weighting=config.weighting)
             if config.classifier == "knn":
                 model = knn_train(train_m, k=config.knn_k,
                                   similarity=config.knn_similarity)
@@ -233,8 +238,7 @@ def run_experiment(
         except Exception as exc:
             raise ExperimentError(f"fold {fold}: {exc}") from exc
         conf = {cat: [0, 0, 0] for cat in categories}  # tp, fp, fn
-        for v, pred in zip(test, predicted):
-            actual = v.labels[0]
+        for actual, pred in zip(test_counts.labels, predicted):
             if pred == actual:
                 conf[actual][0] += 1
             else:

@@ -6,8 +6,8 @@ Descriptors live in one namespace: stems are prefixed "t:" and concept
 ids "c:", so a stem can never collide with a concept id. Selection,
 weighting and `ontoclass map` all start from one raw-count matrix,
 `count_matrix`, whose columns are in descriptor order; cross-validation
-builds it once over every document and hands each fold its rows through
-the `counts` keyword.
+builds it once over every document, and each fold selects and weights
+from its own row slice of it.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ class WeightedMatrix:
             raise OntoclassError("negative weight in matrix")
 
 
-def _require_labels(vectors: Sequence[HybridVector]) -> None:
-    for v in vectors:
-        if not v.labels:
-            raise OntoclassError(f"document {v.doc_id!r} has no label")
+def require_labels(counts: WeightedMatrix) -> None:
+    """Reject a count row with no label, which `count_matrix` marks ""."""
+    for doc_id, label in zip(counts.doc_ids, counts.labels):
+        if not label:
+            raise OntoclassError(f"document {doc_id!r} has no label")
 
 
 def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
@@ -160,21 +161,6 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
         values=values,
         labels=tuple(v.labels[0] if v.labels else "" for v in vectors),
     )
-
-
-def _counts_for(
-    vectors: Sequence[HybridVector], counts: WeightedMatrix | None
-) -> WeightedMatrix:
-    """`counts` when it holds exactly `vectors`' rows, with its columns in
-    descriptor order, else a fresh count_matrix."""
-    if counts is None:
-        return count_matrix(vectors)
-    if counts.doc_ids != tuple(v.doc_id for v in vectors):
-        raise OntoclassError("count matrix rows do not match the documents")
-    names = counts.descriptors
-    if any(a >= b for a, b in zip(names, names[1:])):
-        raise OntoclassError("count matrix columns are not in descriptor order")
-    return counts
 
 
 class ScoreTable(Mapping):
@@ -263,17 +249,23 @@ def select_top_k(
 
     `counts` is `vectors`' raw-count matrix, by default `count_matrix`;
     a row slice of a larger one serves as well, since its columns that
-    no row holds drop out.
+    no row holds drop out. Its rows must be `vectors`' documents and its
+    columns in descriptor order.
     """
     if k < 1:
         raise OntoclassError(f"k must be >= 1, got {k}")
     if not vectors:
         raise OntoclassError("no documents to select features from")
+    if counts is None:
+        counts = count_matrix(vectors)
+    elif counts.doc_ids != tuple(v.doc_id for v in vectors):
+        raise OntoclassError("count matrix rows do not match the documents")
+    elif any(a >= b for a, b in zip(counts.descriptors, counts.descriptors[1:])):
+        raise OntoclassError("count matrix columns are not in descriptor order")
     if recorder is not None:
-        for v in vectors:
-            recorder(v.doc_id)
-    _require_labels(vectors)
-    counts = _counts_for(vectors, counts)
+        for doc_id in counts.doc_ids:
+            recorder(doc_id)
+    require_labels(counts)
     cats = tuple(dict.fromkeys(counts.labels) if categories is None else categories)
     if len(cats) < 2:
         raise OntoclassError("feature selection needs at least 2 categories")
@@ -292,7 +284,7 @@ def select_top_k(
     x = counts.values
     held = np.unique(x.indices)
     vocab = [counts.descriptors[c] for c in held.tolist()]
-    n_docs, n_rows, n_desc = len(vectors), len(row_of), len(vocab)
+    n_docs, n_rows, n_desc = len(counts.doc_ids), len(row_of), len(vocab)
     n11_grid = np.bincount(
         np.repeat(doc_rows, np.diff(x.indptr)) * n_desc
         + np.searchsorted(held, x.indices),
@@ -340,23 +332,24 @@ def select_top_k(
 
 
 def build_matrix(
-    vectors: Sequence[HybridVector],
+    counts: WeightedMatrix,
     feature_space: FeatureSpace,
     weighting: str = "tfidf",
-    counts: WeightedMatrix | None = None,
 ) -> WeightedMatrix:
-    """Weight documents over the selected descriptors; L2-normalize rows.
+    """Weight a raw-count matrix over the selected descriptors;
+    L2-normalize rows.
 
-    The tfidf weighting multiplies each document-level raw frequency by
+    `counts` is a `count_matrix` or a row slice of one; its columns are
+    matched to the selection by name, in any order. The tfidf weighting
+    multiplies each document-level raw frequency by
     ln(category count / category df), with df from the selection's
     training counts. Zero weights are dropped. Documents whose descriptors
     were all deselected come out as zero rows (flagged in the log, kept
-    in the matrix). `counts` is as in `select_top_k`.
+    in the matrix).
     """
     if weighting not in WEIGHTINGS:
         raise OntoclassError(f"unknown weighting {weighting!r}")
-    _require_labels(vectors)
-    counts = _counts_for(vectors, counts)
+    require_labels(counts)
     col_of = feature_space.index()
     # each count column's place among the selected descriptors, or -1
     target = np.array(
@@ -365,7 +358,7 @@ def build_matrix(
     x = counts.values
     cols = target[x.indices]
     keep = cols >= 0
-    rows = np.repeat(np.arange(len(vectors)), np.diff(x.indptr))[keep]
+    rows = np.repeat(np.arange(len(counts.doc_ids)), np.diff(x.indptr))[keep]
     cols = cols[keep]
     data = x.data[keep]
     if weighting == "binary":
@@ -381,7 +374,7 @@ def build_matrix(
 
     mat = sparse.csr_matrix(
         (data[nonzero], (rows[nonzero], cols[nonzero])),
-        shape=(len(vectors), len(feature_space.descriptors)),
+        shape=(len(counts.doc_ids), len(feature_space.descriptors)),
         dtype=np.float64,
     )
     zero_rows = int(np.count_nonzero(np.diff(mat.indptr) == 0))

@@ -280,6 +280,15 @@ class TestC45:
         tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
         assert c45_predict_all(tree, m) == list(labels)
 
+    def test_adjacent_values_are_split_at_the_lower(self):
+        # the midpoint of these adjacent floats rounds up to the upper one
+        low, high = 0.5000000000000001, 0.5000000000000002
+        assert (low + high) / 2 == high
+        m = make_matrix([[low], [high]], ["A", "B"])
+        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
+        assert tree.threshold == low
+        assert c45_predict_all(tree, m) == ["A", "B"]
+
     def test_root_split_matches_exhaustive_search(self):
         rows, labels = separable_8rows()
         m = make_matrix(rows, labels)
@@ -464,7 +473,8 @@ def dense_best_split(x, y, n_classes, min_leaf):
         cand_gain.append(gain)
         cand_ratio.append(ratio)
         cand_col.append(np.full(cut.size, col))
-        cand_thr.append((sv[cut] + sv[cut + 1]) / 2.0)
+        mid = (sv[cut] + sv[cut + 1]) / 2.0
+        cand_thr.append(np.where(mid < sv[cut + 1], mid, sv[cut]))
 
     if not cand_gain:
         return None

@@ -264,6 +264,36 @@ class TestExitCodes:
         assert "onto.tsv: not UTF-8 (byte 0xe9)" in err
         assert len(err.splitlines()) == 1
 
+    def test_unlabeled_document_exits_1_naming_it(self, tmp_path, capsys):
+        # a file directly under a textdir root has no label
+        for cat, marker in (("A", "kardol"), ("B", "moxart")):
+            (tmp_path / "docs" / cat).mkdir(parents=True)
+            for i in range(3):
+                (tmp_path / "docs" / cat / f"{i}.txt").write_text(
+                    f"{marker} note\npatient {marker}\n", encoding="utf-8")
+        (tmp_path / "docs" / "root.txt").write_text("kardol\n", encoding="utf-8")
+        (tmp_path / "exp.ini").write_text(
+            "[corpus]\npath = docs\nformat = textdir\n"
+            "[mapping]\nrepresentation = stems\n"
+            "[evaluate]\nn_folds = 2\n"
+            "[cli]\noutput_dir = out\n",
+            encoding="utf-8",
+        )
+        assert run(tmp_path, "ingest") == 0
+        ini = (tmp_path / "exp.ini").read_text(encoding="utf-8")
+        (tmp_path / "cached.ini").write_text(
+            ini.replace("path = docs\nformat = textdir",
+                        "path = out/corpus.jsonl\nformat = jsonl"),
+            encoding="utf-8",
+        )
+        for config in ("exp.ini", "cached.ini"):
+            capsys.readouterr()
+            assert run(tmp_path, "evaluate", config=config) == 1
+            err = capsys.readouterr().err
+            assert err == ("error [evaluate] OntoclassError: "
+                           "document 'root' has no label\n")
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     @pytest.mark.parametrize("bad_row", [
         "x,Heart Disease,1,0,0,1.0,1.0,1.0",
         "0,Heart Disease,one,0,0,1.0,1.0,1.0",

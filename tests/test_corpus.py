@@ -160,6 +160,13 @@ class TestLabelMap:
         with pytest.raises(ParseError, match="line 1"):
             load_label_map(f)
 
+    def test_repeated_doc_id_rejected(self, tmp_path):
+        f = tmp_path / "labels.tsv"
+        f.write_text("1\tA\n2\tB\n# comment\n1\tC\n")
+        with pytest.raises(ParseError) as err:
+            load_label_map(f)
+        assert str(err.value) == "line 4: doc_id '1' already labeled on line 1"
+
 
 def _corpus(*ids):
     return Corpus(

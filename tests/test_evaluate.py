@@ -207,6 +207,19 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match=r"fold 0: "):
             run_experiment(separable_corpus(), None, config)
 
+    @pytest.mark.parametrize("n_folds", [5, 1])
+    def test_unlabeled_document_rejected_before_folds(self, n_folds, caplog):
+        corpus = separable_corpus()
+        unlabeled = Document(doc_id="root", title="kardol report")
+        corpus = Corpus(documents=corpus.documents + (unlabeled,),
+                        categories=corpus.categories)
+        with caplog.at_level(logging.WARNING, logger="ontoclass.evaluate"):
+            with pytest.raises(OntoclassError) as err:
+                run_experiment(corpus, None, stems_config(n_folds=n_folds))
+        assert str(err.value) == "document 'root' has no label"
+        assert not isinstance(err.value, ExperimentError)
+        assert caplog.text == ""
+
     def test_empty_corpus_rejected(self):
         empty = Corpus(documents=(), categories=("A",))
         with pytest.raises(OntoclassError):

@@ -445,7 +445,7 @@ def small_matrix_fixture():
 class TestBuildMatrix:
     def test_hand_computed_tfidf_rows(self):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space)
+        matrix = build_matrix(count_matrix(vecs), space)
         # df: a=2, b=2, c=2, d=1 over 3 categories; weight = n*ln(3/df),
         # rows L2-normalized; values hand-computed from that formula
         expected = {
@@ -464,19 +464,19 @@ class TestBuildMatrix:
 
     def test_rows_are_unit_length(self):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space)
+        matrix = build_matrix(count_matrix(vecs), space)
         norms = np.sqrt(matrix.values.multiply(matrix.values).sum(axis=1))
         assert np.allclose(np.asarray(norms).ravel(), 1.0)
 
     def test_labels_and_ids_in_corpus_order(self):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space)
+        matrix = build_matrix(count_matrix(vecs), space)
         assert matrix.doc_ids == ("d1", "d2", "d3")
         assert matrix.labels == ("X", "Y", "Z")
 
     def test_tf_weighting_keeps_raw_proportions(self):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, weighting="tf")
+        matrix = build_matrix(count_matrix(vecs), space, weighting="tf")
         dense = matrix.values.toarray()
         col = matrix.descriptors.index("t:c")
         row = matrix.doc_ids.index("d2")
@@ -484,7 +484,7 @@ class TestBuildMatrix:
 
     def test_binary_weighting_flattens_counts(self):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space, weighting="binary")
+        matrix = build_matrix(count_matrix(vecs), space, weighting="binary")
         dense = matrix.values.toarray()
         row = matrix.doc_ids.index("d1")
         nonzero = dense[row][dense[row] > 0]
@@ -493,18 +493,18 @@ class TestBuildMatrix:
     def test_unknown_weighting_rejected(self):
         vecs, space = small_matrix_fixture()
         with pytest.raises(OntoclassError):
-            build_matrix(vecs, space, weighting="idf")
+            build_matrix(count_matrix(vecs), space, weighting="idf")
 
     def test_unlabeled_document_rejected(self):
         vecs, space = small_matrix_fixture()
         with pytest.raises(OntoclassError, match="'u1' has no label"):
-            build_matrix(vecs + [hv("u1", {"a": 1})], space)
+            build_matrix(count_matrix(vecs + [hv("u1", {"a": 1})]), space)
 
     def test_document_without_selected_descriptors_is_zero_row(self, caplog):
         vecs, space = small_matrix_fixture()
         stranger = hv("d4", {"qqq": 5}, label="X")
         with caplog.at_level(logging.WARNING, logger="ontoclass.features"):
-            matrix = build_matrix(vecs + [stranger], space)
+            matrix = build_matrix(count_matrix(vecs + [stranger]), space)
         assert "all-zero rows" in caplog.text
         assert matrix.values.getrow(3).nnz == 0
 
@@ -599,7 +599,7 @@ class TestBuildMatrixEquivalence:
         assert space.df == tuple(df[d] for d in space.descriptors)
         for weighting in ("tfidf", "tf", "binary"):
             for vecs in (train_vecs, test_vecs):
-                got = build_matrix(vecs, space, weighting=weighting)
+                got = build_matrix(count_matrix(vecs), space, weighting=weighting)
                 want = build_matrix_reference(vecs, space.descriptors, df, nbr,
                                               weighting)
                 assert got.doc_ids == tuple(v.doc_id for v in vecs)
@@ -674,9 +674,10 @@ class TestRowSliceEquivalence:
         assert space.df == want.df
         for weighting in ("tfidf", "tf", "binary"):
             for vs, rows in ((train, train_rows), (test, test_rows)):
-                got = build_matrix(vs, want, weighting=weighting,
-                                   counts=row_slice(counts, rows)).values
-                ref = build_matrix(vs, want, weighting=weighting).values
+                got = build_matrix(row_slice(counts, rows), want,
+                                   weighting=weighting).values
+                ref = build_matrix(count_matrix(vs), want,
+                                   weighting=weighting).values
                 assert got.indptr.tolist() == ref.indptr.tolist()
                 assert got.indices.tolist() == ref.indices.tolist()
                 assert ([x.hex() for x in got.data.tolist()]
@@ -684,16 +685,12 @@ class TestRowSliceEquivalence:
 
     def test_mismatched_doc_ids_rejected(self):
         vecs = marker_fixture()
-        space = select_top_k(vecs, k=2)
         for wrong in (count_matrix(vecs[::-1]), count_matrix(vecs[1:])):
             with pytest.raises(OntoclassError, match="do not match"):
                 select_top_k(vecs, k=2, counts=wrong)
-            with pytest.raises(OntoclassError, match="do not match"):
-                build_matrix(vecs, space, counts=wrong)
 
     def test_counts_out_of_descriptor_order_rejected(self):
         vecs = marker_fixture()
-        space = select_top_k(vecs, k=2)
         counts = count_matrix(vecs)
         reversed_columns = WeightedMatrix(
             doc_ids=counts.doc_ids,
@@ -703,8 +700,6 @@ class TestRowSliceEquivalence:
         )
         with pytest.raises(OntoclassError, match="not in descriptor order"):
             select_top_k(vecs, k=2, counts=reversed_columns)
-        with pytest.raises(OntoclassError, match="not in descriptor order"):
-            build_matrix(vecs, space, counts=reversed_columns)
 
 
 class TestScoreTableView:
@@ -776,7 +771,7 @@ class TestSelectTopKBoundedMemory:
 class TestMatrixSerialization:
     def test_header_counts_nonzeros(self, tmp_path):
         vecs, space = small_matrix_fixture()
-        matrix = build_matrix(vecs, space)
+        matrix = build_matrix(count_matrix(vecs), space)
         path = tmp_path / "weights.mtx"
         save_matrix(matrix, path)
         header = path.read_text().splitlines()[0].split()

@@ -92,20 +92,31 @@ def test_unused_import_checker_sees_names_never_read(tmp_path):
     ]
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level function, class or plain assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def unused_public_names(modules: list[Path]) -> list[str]:
-    """Public module-level functions and classes that no other place in
-    `modules` names. A definition naming itself does not count, and
-    neither does a package `__init__.py`, which only re-exports."""
+    """Public module-level functions, classes and constants that no other
+    place in `modules` names. A definition naming itself does not count,
+    and neither does a package `__init__.py`, which only re-exports."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     for path in modules:
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                owner = stmt.name
+            owners = defined_names(stmt)
+            for owner in owners:
                 if not owner.startswith("_"):
                     defined[owner] = f"{path.name}:{stmt.lineno} {owner}"
             for node in ast.walk(stmt):
@@ -117,7 +128,7 @@ def unused_public_names(modules: list[Path]) -> list[str]:
                     name = node.name
                 else:
                     continue
-                if name != owner:
+                if name not in owners:
                     used.add(name)
     return sorted(where for name, where in defined.items() if name not in used)
 
@@ -138,14 +149,24 @@ def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
         "def called():\n"
         "    return 1\n"
         "def _private():\n"
-        "    return called()\n",
+        "    return called()\n"
+        "LIMIT = 3\n"
+        "SPARE: int = 4\n"
+        "LOOP = LOOP_START = 0\n"
+        "_HIDDEN = 5\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text(
-        "from .a import Node\n", encoding="utf-8"
+        "from .a import Node\n"
+        "from . import a\n"
+        "def _total():\n"
+        "    return a.LIMIT + a.LOOP\n",
+        encoding="utf-8",
     )
     assert unused_public_names(sorted(tmp_path.glob("*.py"))) == [
         "a.py:1 exported",
+        "a.py:10 SPARE",
+        "a.py:11 LOOP_START",
     ]
 
 
