@@ -74,10 +74,6 @@ class ContingencyTable:
             raise ValueError("negative contingency cell")
 
     @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
-    @property
     def degenerate(self) -> bool:
         """True when any marginal is empty (chi-square is undefined)."""
         return 0 in (
@@ -90,16 +86,12 @@ class ContingencyTable:
 
 def chi_square(table: ContingencyTable) -> float:
     """Standard 2x2 chi-square; degenerate tables score 0."""
-    if table.degenerate:
+    n11, n10, n01, n00 = table.n11, table.n10, table.n01, table.n00
+    # the product of the four marginals is zero exactly when one is empty
+    den = (n11 + n01) * (n11 + n10) * (n10 + n00) * (n01 + n00)
+    if not den:
         return 0.0
-    num = table.total * (table.n11 * table.n00 - table.n10 * table.n01) ** 2
-    den = (
-        (table.n11 + table.n01)
-        * (table.n11 + table.n10)
-        * (table.n10 + table.n00)
-        * (table.n01 + table.n00)
-    )
-    return num / den
+    return (n11 + n10 + n01 + n00) * (n11 * n00 - n10 * n01) ** 2 / den
 
 
 @dataclass(frozen=True)
@@ -244,7 +236,8 @@ def select_top_k(
     descriptors with positive scores can be selected, so a category with
     fewer than K positively scoring descriptors contributes all of them.
     Ties break toward the lexicographically smaller descriptor. Chi-square
-    is computed once per distinct contingency table, not once per pair.
+    is computed once per distinct contingency table of the call, not once
+    per pair, so categories of equal size share their scores.
     Categories default to the labels in first-appearance order.
 
     `counts` is `vectors`' raw-count matrix, by default `count_matrix`;
@@ -294,28 +287,41 @@ def select_top_k(
     category_freq = np.count_nonzero(n11_grid, axis=0)
     sizes = np.bincount(doc_rows, minlength=n_rows)
 
+    # A score depends only on (size, n11, doc_freq, n_docs), and categories
+    # of equal size share their tables: key each table by (size rank, n11,
+    # doc_freq), which int64 holds while categories x (n_docs + 1)^2 does,
+    # and score each distinct one of the call once, on Python ints, so
+    # every value is exact.
+    base = n_docs + 1
+    size_values, size_rank = np.unique(sizes, return_inverse=True)
+
+    def table_keys(row: int) -> np.ndarray:
+        return (size_rank[row] * base + n11_grid[row]) * base + doc_freq
+
+    keys = np.unique(np.concatenate(
+        [np.unique(table_keys(row)) for row in range(n_rows)]
+    ))
+    size_list = size_values.tolist()
+    distinct = []
+    for key in keys.tolist():
+        rest, freq = divmod(key, base)
+        rank, n11 = divmod(rest, base)
+        size = size_list[rank]
+        distinct.append(chi_square(ContingencyTable(
+            n11=n11,
+            n10=size - n11,
+            n01=freq - n11,
+            n00=n_docs - size - (freq - n11),
+        )))
+    table_scores = np.asarray(distinct, dtype=np.float64)
     scores = np.empty((n_rows, n_desc), dtype=np.float64)
+    for row in range(n_rows):
+        scores[row] = table_scores[np.searchsorted(keys, table_keys(row))]
+
     selected: dict[str, tuple[str, ...]] = {}
     union: dict[int, None] = {}
     for cat in cats:
-        row = row_of[cat]
-        size = int(sizes[row])
-        # A score depends only on (size, n11, doc_freq, n_docs): score each
-        # distinct table once, on Python ints, so every value is exact.
-        tables, inverse = np.unique(
-            n11_grid[row] * (n_docs + 1) + doc_freq, return_inverse=True
-        )
-        distinct = [
-            chi_square(ContingencyTable(
-                n11=n11,
-                n10=size - n11,
-                n01=freq - n11,
-                n00=n_docs - size - (freq - n11),
-            ))
-            for n11, freq in (divmod(t, n_docs + 1) for t in tables.tolist())
-        ]
-        row_scores = np.asarray(distinct, dtype=np.float64)[inverse]
-        scores[row] = row_scores
+        row_scores = scores[row_of[cat]]
         positive = np.flatnonzero(row_scores > 0)
         order = np.lexsort((positive, -row_scores[positive]))
         chosen = positive[order[:k]].tolist()

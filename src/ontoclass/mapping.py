@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import OntoclassError, OntologyError
-from .ontology import MAX_PHRASE_LEN, Ontology, phrase_key
+from .ontology import Ontology, phrase_key
 from .preprocess import TermVector
 
 log = logging.getLogger(__name__)
@@ -84,26 +84,33 @@ def match_phrases(
 ) -> tuple[ConceptVector, set[str]]:
     """Find concept matches in a stem sequence.
 
-    Matching scans left to right taking the longest indexed window (up to
-    MAX_PHRASE_LEN stems) at each position; windows never overlap. Each
-    match counts once toward the senses `_senses` picks. Returns the
-    concept counts and the set of stems inside any match.
+    Matching scans left to right taking the longest indexed window at
+    each position; windows never overlap. Only the widths that
+    `ontology.phrase_widths` lists for a position's stem are probed, so a
+    stem that starts no key costs one lookup. Each match counts once
+    toward the senses `_senses` picks. Returns the concept counts and the
+    set of stems inside any match.
     """
     if disamb not in DISAMBIGUATIONS:
         raise OntoclassError(f"unknown disambiguation {disamb!r}")
 
     counts: dict[str, int] = {}
     consumed: set[str] = set()
+    index = ontology.phrase_index
+    widths_of = ontology.phrase_widths
     stems = term_vector.stems
     i = 0
     n = len(stems)
     while i < n:
-        for width in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
-            candidates = ontology.lookup_concepts(" ".join(stems[i : i + width]))
+        for width in widths_of.get(stems[i], ()):
+            if width > n - i:
+                continue
+            window = stems[i : i + width]
+            candidates = index.get(" ".join(window))
             if candidates:
                 for cid in _senses(candidates, disamb):
                     counts[cid] = counts.get(cid, 0) + 1
-                consumed.update(stems[i : i + width])
+                consumed.update(window)
                 i += width
                 break
         else:
@@ -197,10 +204,18 @@ def map_corpus(
 ) -> list[HybridVector]:
     """Map every document; `mesh_by_doc` supplies annotation phrases."""
     mesh_by_doc = mesh_by_doc or {}
-    return [
+    mapped = [
         map_document(tv, ontology, config, mesh_by_doc.get(tv.doc_id, ()))
         for tv in term_vectors
     ]
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "mapping: %d documents, %d concept occurrences, %d documents "
+            "with no concept",
+            len(mapped), sum(hv.concept_part.total() for hv in mapped),
+            sum(not hv.concept_part.counts for hv in mapped),
+        )
+    return mapped
 
 
 def stems_only(term_vector: TermVector) -> HybridVector:

@@ -21,6 +21,13 @@ log = logging.getLogger(__name__)
 #: Longest phrase, in stemmed tokens, kept in the phrase index.
 MAX_PHRASE_LEN = 3
 
+#: Bit w-1 set in a mask -> the widths w it holds, longest first; every
+#: first stem with the same width set shares one tuple.
+_WIDTHS = {
+    mask: tuple(w for w in range(MAX_PHRASE_LEN, 0, -1) if mask >> (w - 1) & 1)
+    for mask in range(1 << MAX_PHRASE_LEN)
+}
+
 #: Sorts after every real tree number, so concepts without tree numbers
 #: order last among equals.
 _NO_TREE = "~"
@@ -45,12 +52,15 @@ class Ontology:
     `phrase_index` maps a stemmed-phrase key to the ordered candidate
     concept list (most canonical sense first); every query is read-only.
     `stopwords` is the stoplist the keys were built with, so any other
-    phrase is keyed the same way.
+    phrase is keyed the same way. `phrase_widths` maps each key's first
+    stem to the key widths, in stems, that start with it, longest first;
+    a stem that starts no key is absent.
     """
 
     concepts: dict[str, Concept]
     phrase_index: dict[str, tuple[str, ...]]
     stopwords: frozenset[str]
+    phrase_widths: dict[str, tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -289,8 +299,14 @@ def build_ontology(
         for key, cids in exact.items()
     }
 
+    masks: dict[str, int] = {}
+    for key in phrase_index:
+        first = key.partition(" ")[0]
+        masks[first] = masks.get(first, 0) | 1 << key.count(" ")
+    phrase_widths = {first: _WIDTHS[mask] for first, mask in masks.items()}
+
     onto = Ontology(concepts=concepts, phrase_index=phrase_index,
-                    stopwords=stopwords)
+                    stopwords=stopwords, phrase_widths=phrase_widths)
     onto.depth()  # raises on a hierarchy cycle
     if log.isEnabledFor(logging.INFO):
         log.info(

@@ -2,6 +2,7 @@ import logging
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import sparse
 
+from ontoclass import features
 from ontoclass.errors import OntoclassError
 from ontoclass.features import (
     ContingencyTable,
@@ -377,6 +379,10 @@ _docs = st.lists(
 class TestSelectTopKEquivalence:
     @given(docs=_docs, k=st.integers(1, len(_POOL) + 3),
            explicit=st.booleans())
+    # W and X are both two documents large, so they share their tables
+    @example(docs=[(0, {"a": 1}, {}), (0, {"b": 2}, {"D1": 1}),
+                   (1, {"a": 1, "c": 1}, {}), (1, {"b": 1}, {"D1": 2})],
+             k=2, explicit=False)
     def test_matches_per_pair_reference(self, docs, k, explicit):
         vecs = [
             hv(f"d{i}", terms, concepts, label="WXYZ"[cat])
@@ -430,6 +436,40 @@ class TestSelectTopKEquivalence:
         assert hex_items(space.per_category_scores) == hex_items(scores)
         assert space.selected == selected
         assert space.descriptors == union
+
+
+class TestSelectTopKWork:
+    def test_chi_square_once_per_distinct_table(self, monkeypatch):
+        # sizes 6, 6, 4, 4 and 2: equal-size categories share tables
+        rng = random.Random(3)
+        vecs = [
+            hv(f"d{i}", {w: 1 for w in rng.sample(_POOL, rng.randint(0, 4))},
+               label=cat)
+            for i, cat in enumerate("VVVVVVWWWWWWXXXXYYYYZZ")
+        ]
+        scored = Counter()
+
+        def counting(table):
+            scored[(table.n11 + table.n10, table.n11,
+                    table.n11 + table.n01)] += 1
+            return chi_square(table)
+
+        monkeypatch.setattr(features, "chi_square", counting)
+        space = select_top_k(vecs, k=3)
+        monkeypatch.undo()
+
+        presence = {}
+        for v in vecs:
+            for desc in descriptor_counts(v):
+                presence.setdefault(desc, Counter())[v.labels[0]] += 1
+        sizes = Counter(v.labels[0] for v in vecs)
+        tables = {(sizes[cat], by_cat[cat], sum(by_cat.values()))
+                  for cat in sizes for by_cat in presence.values()}
+        assert len(tables) < len(sizes) * len(presence)
+        assert scored == Counter(dict.fromkeys(tables, 1))
+        scores, selected, _ = select_top_k_reference(vecs, 3)
+        assert hex_items(space.per_category_scores) == hex_items(scores)
+        assert space.selected == selected
 
 
 def small_matrix_fixture():

@@ -1,7 +1,13 @@
+import dataclasses
+import logging
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontoclass.errors import OntoclassError, OntologyError
 from ontoclass.mapping import (
+    DISAMBIGUATIONS,
     ConceptVector,
     MappingConfig,
     enrich_hyperonyms,
@@ -10,7 +16,7 @@ from ontoclass.mapping import (
     match_phrases,
     stems_only,
 )
-from ontoclass.ontology import build_ontology
+from ontoclass.ontology import MAX_PHRASE_LEN, build_ontology
 from ontoclass.preprocess import TermVector, load_stoplist, preprocess_text
 
 STOP = load_stoplist()
@@ -111,6 +117,113 @@ class TestMatchPhrases:
         onto = appendicitis_ontology()
         with pytest.raises(OntoclassError):
             match_phrases(doc_vector("cold"), onto, "Oracle")
+
+
+def match_phrases_reference(term_vector, ontology, disamb="AllConcepts"):
+    """The three-width loop: probe every width from MAX_PHRASE_LEN down to 1
+    at each position, whatever stem starts it."""
+    counts, consumed = {}, set()
+    stems = term_vector.stems
+    i, n = 0, len(stems)
+    while i < n:
+        for width in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
+            candidates = ontology.lookup_concepts(" ".join(stems[i : i + width]))
+            if candidates:
+                senses = candidates if disamb == "AllConcepts" else candidates[:1]
+                for cid in senses:
+                    counts[cid] = counts.get(cid, 0) + 1
+                consumed.update(stems[i : i + width])
+                i += width
+                break
+        else:
+            i += 1
+    return counts, consumed
+
+
+# Four words that are their own stems, so keys share first stems and
+# overlap often; "zeta" starts no key.
+_WORDS = ("alpha", "beta", "gamma", "delta")
+_phrases = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # the owning concept
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=MAX_PHRASE_LEN),
+    ),
+    min_size=1,
+    max_size=10,
+)
+_doc_words = st.lists(st.sampled_from(_WORDS + ("zeta",)), max_size=14)
+
+
+class TestMatchPhrasesEquivalence:
+    @settings(deadline=None)
+    @given(phrases=_phrases, words=_doc_words,
+           disamb=st.sampled_from(DISAMBIGUATIONS))
+    # "alpha beta gamma" and "alpha beta" share a first stem, and the last
+    # "alpha" opens a three-stem window that would run past the end
+    @example(phrases=[(0, ["alpha", "beta", "gamma"]), (1, ["alpha", "beta"]),
+                      (2, ["beta", "gamma"]), (3, ["gamma"])],
+             words=["alpha", "beta", "gamma", "zeta", "alpha", "beta", "alpha"],
+             disamb="AllConcepts")
+    # one key with two senses, under both disambiguations
+    @example(phrases=[(0, ["beta"]), (1, ["beta"]), (2, ["beta", "delta"])],
+             words=["beta", "beta", "delta", "beta"], disamb="FirstConcept")
+    def test_matches_three_width_loop(self, phrases, words, disamb):
+        terms = {}
+        for owner, phrase in phrases:
+            terms.setdefault(owner, []).append(" ".join(phrase))
+        rows = [(f"C{owner}", names[0], [], names[1:])
+                for owner, names in sorted(terms.items())]
+        onto = build_ontology(rows, STOP)
+        vec = TermVector(doc_id="d", stems=tuple(words))
+        concepts, consumed = match_phrases(vec, onto, disamb)
+        ref_counts, ref_consumed = match_phrases_reference(vec, onto, disamb)
+        assert list(concepts.counts.items()) == list(ref_counts.items())
+        assert consumed == ref_consumed
+
+
+class _CountingIndex(dict):
+    """A phrase index that counts its probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+class TestMatchPhrasesWork:
+    def test_stem_that_opens_no_key_probes_at_most_once(self):
+        rows = [("P1", "Appendiceal Inflammation", ["C01.100"], []),
+                ("P2", "acute bacterial myocarditis", ["C02"], [])]
+        onto = build_ontology(rows, STOP)
+        index = _CountingIndex(onto.phrase_index)
+        onto = dataclasses.replace(onto, phrase_index=index)
+        vec = doc_vector("zebra sightings reported near rivers daily")
+        assert len(vec.stems) == 6
+        concepts, consumed = match_phrases(vec, onto)
+        assert concepts.counts == {} and consumed == set()
+        assert index.probes <= len(vec.stems)
+
+    def test_only_the_widths_a_stem_opens_are_probed(self):
+        # "appendic" opens only a two-stem key: one probe, which matches;
+        # "persist" opens none
+        rows = [("P1", "Appendiceal Inflammation", ["C01.100"], [])]
+        onto = build_ontology(rows, STOP)
+        index = _CountingIndex(onto.phrase_index)
+        onto = dataclasses.replace(onto, phrase_index=index)
+        concepts, _ = match_phrases(
+            doc_vector("appendiceal inflammation persists"), onto
+        )
+        assert concepts.counts == {"P1": 1}
+        assert index.probes == 1
 
 
 class TestMapDocument:
@@ -306,6 +419,16 @@ class TestMapCorpus:
                          mesh_by_doc={"b": ("Appendiceal",)})
         assert out[0].concept_part.counts == {}
         assert out[1].concept_part.counts == {"D064": 1}
+
+    def test_counts_logged_at_info(self, caplog):
+        onto = appendicitis_ontology()
+        vecs = [doc_vector("appendicitis appendiceal", doc_id="a"),
+                doc_vector("zebra", doc_id="b"),
+                doc_vector("", doc_id="c")]
+        with caplog.at_level(logging.INFO, logger="ontoclass.mapping"):
+            map_corpus(vecs, onto, MappingConfig())
+        assert ("mapping: 3 documents, 2 concept occurrences, 2 documents "
+                "with no concept") in caplog.text
 
 
 class TestVectorTypes:

@@ -158,6 +158,23 @@ class TestPhraseIndex:
                 key = phrase_key(term, stop)
                 assert cid in chain.lookup_concepts(key)
 
+    def test_phrase_widths_list_each_first_stem_longest_first(self, chain):
+        # "append" and "appendic" start one-stem keys; "appendic" also
+        # starts the two-stem "appendic inflamm"
+        assert chain.phrase_widths["append"] == (1,)
+        assert chain.phrase_widths["appendic"] == (2, 1)
+        assert "inflamm" not in chain.phrase_widths
+        derived = {}
+        for key in chain.phrase_index:
+            tokens = key.split(" ")
+            derived.setdefault(tokens[0], set()).add(len(tokens))
+        assert chain.phrase_widths == {
+            first: tuple(sorted(widths, reverse=True))
+            for first, widths in derived.items()
+        }
+        # one tuple per width set, shared by every stem that has it
+        assert chain.phrase_widths["append"] is chain.phrase_widths["diseas"]
+
     def test_phrase_key_removes_stopwords(self):
         stop = load_stoplist()
         assert phrase_key("Inflammation of the Appendix", stop) == "inflamm appendix"
