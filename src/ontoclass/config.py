@@ -9,7 +9,7 @@ file's directory.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .classify import SIMILARITIES
@@ -23,66 +23,66 @@ ONTOLOGY_FORMATS = ("tsv", "mesh-ascii")
 REPRESENTATIONS = ("stems", "concepts", "concepts_hyperonyms")
 CLASSIFIERS = ("knn", "c45")
 
-#: (section, key) -> (ExperimentConfig field, type tag), in report order
-_SCHEMA = {
-    ("corpus", "path"): ("corpus_path", "path"),
-    ("corpus", "format"): ("corpus_format", "str"),
-    ("corpus", "label_map"): ("label_map", "path"),
-    ("corpus", "categories"): ("categories", "list"),
-    ("corpus", "label_policy"): ("label_policy", "str"),
-    ("preprocess", "stoplist"): ("stoplist", "path"),
-    ("ontology", "path"): ("ontology_path", "path"),
-    ("ontology", "format"): ("ontology_format", "str"),
-    ("mapping", "representation"): ("representation", "str"),
-    ("mapping", "strategy"): ("strategy", "str"),
-    ("mapping", "disambiguation"): ("disambiguation", "str"),
-    ("mapping", "hyperonym_variant"): ("hyperonym_variant", "str"),
-    ("mapping", "use_mesh_annotations"): ("use_mesh_annotations", "bool"),
-    ("features", "k"): ("k_features", "int"),
-    ("features", "weighting"): ("weighting", "str"),
-    ("classify", "classifier"): ("classifier", "str"),
-    ("classify", "knn_k"): ("knn_k", "int"),
-    ("classify", "knn_similarity"): ("knn_similarity", "str"),
-    ("classify", "tree_min_leaf"): ("tree_min_leaf", "int"),
-    ("classify", "tree_max_depth"): ("tree_max_depth", "int"),
-    ("classify", "tree_prune"): ("tree_prune", "bool"),
-    ("evaluate", "n_folds"): ("n_folds", "int"),
-    ("evaluate", "seed"): ("seed", "int"),
-    ("cli", "output_dir"): ("output_dir", "path"),
-}
+
+def _setting(key: str, default, allowed: tuple[str, ...] = (),
+             minimum: int | None = None, note: str = ""):
+    """A field read from INI `section.key`, with its allowed values or its
+    minimum. Its kind (bool, int, tuple or str) is its default's."""
+    return field(default=default, metadata={
+        "key": key, "allowed": allowed, "minimum": minimum, "note": note})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one evaluation run needs, with validated enums."""
+    """Everything one evaluation run needs; every instance is checked when
+    it is made, however it is made. Field order is report order."""
 
-    corpus_path: str = ""
-    corpus_format: str = "ohsumed"
-    label_map: str | None = None
-    categories: tuple[str, ...] = ()
-    label_policy: str = "first-label"
-    stoplist: str | None = None
-    ontology_path: str | None = None
-    ontology_format: str = "tsv"
-    representation: str = "concepts"
-    strategy: str = "AddConcept"
-    disambiguation: str = "AllConcepts"
-    hyperonym_variant: str = "additive"
-    use_mesh_annotations: bool = False
-    k_features: int = 100
-    weighting: str = "tfidf"
-    classifier: str = "knn"
-    knn_k: int = 5
-    knn_similarity: str = "cosine"
-    tree_min_leaf: int = 2
-    tree_max_depth: int = 0
-    tree_prune: bool = True
-    n_folds: int = 5
-    seed: int = 0
-    output_dir: str = "out"
+    corpus_path: str = _setting("corpus.path", "")
+    corpus_format: str = _setting("corpus.format", "ohsumed", CORPUS_FORMATS)
+    label_map: str | None = _setting("corpus.label_map", None)
+    categories: tuple[str, ...] = _setting("corpus.categories", ())
+    label_policy: str = _setting("corpus.label_policy", "first-label",
+                                 LABEL_POLICIES)
+    stoplist: str | None = _setting("preprocess.stoplist", None)
+    ontology_path: str | None = _setting("ontology.path", None)
+    ontology_format: str = _setting("ontology.format", "tsv", ONTOLOGY_FORMATS)
+    representation: str = _setting("mapping.representation", "concepts",
+                                   REPRESENTATIONS)
+    strategy: str = _setting("mapping.strategy", "AddConcept", STRATEGIES)
+    disambiguation: str = _setting("mapping.disambiguation", "AllConcepts",
+                                   DISAMBIGUATIONS)
+    hyperonym_variant: str = _setting("mapping.hyperonym_variant", "additive",
+                                      HYPERONYM_VARIANTS)
+    use_mesh_annotations: bool = _setting("mapping.use_mesh_annotations", False)
+    k_features: int = _setting("features.k", 100, minimum=1)
+    weighting: str = _setting("features.weighting", "tfidf", WEIGHTINGS)
+    classifier: str = _setting("classify.classifier", "knn", CLASSIFIERS)
+    knn_k: int = _setting("classify.knn_k", 5, minimum=1)
+    knn_similarity: str = _setting("classify.knn_similarity", "cosine",
+                                   SIMILARITIES)
+    tree_min_leaf: int = _setting("classify.tree_min_leaf", 2, minimum=1)
+    tree_max_depth: int = _setting("classify.tree_max_depth", 0, minimum=0,
+                                   note=" (0 = unlimited)")
+    tree_prune: bool = _setting("classify.tree_prune", True)
+    n_folds: int = _setting("evaluate.n_folds", 5, minimum=1)
+    seed: int = _setting("evaluate.seed", 0)
+    output_dir: str = _setting("cli.output_dir", "out")
     #: the directory relative paths resolve against: the config file's,
     #: once `load_config` has read it
     base_dir: Path = field(default=Path("."), repr=False, compare=False)
+
+    def __post_init__(self):
+        for key, setting in _SETTINGS.items():
+            value, meta = getattr(self, setting.name), setting.metadata
+            if meta["allowed"] and value not in meta["allowed"]:
+                raise ConfigError(key, f"invalid value {value!r}; expected one "
+                                       f"of {', '.join(meta['allowed'])}")
+            if meta["minimum"] is not None and value < meta["minimum"]:
+                raise ConfigError(key, f"must be >= {meta['minimum']}{meta['note']}")
+        for i, cat in enumerate(self.categories):
+            if cat in self.categories[:i]:
+                raise ConfigError("corpus.categories",
+                                  f"category {cat!r} listed more than once")
 
     def resolve(self, value: str | None) -> Path | None:
         """A path value of this config, resolved against `base_dir`; None
@@ -90,59 +90,33 @@ class ExperimentConfig:
         return resolve_path(value, self.base_dir) if value else None
 
     def echo(self) -> tuple[tuple[str, str], ...]:
-        """Flat (section.key, value) pairs in schema order, for reports."""
+        """Flat (section.key, value) pairs in field order, for reports."""
         out = []
-        for (section, key), (field, kind) in _SCHEMA.items():
-            value = getattr(self, field)
+        for key, setting in _SETTINGS.items():
+            value = getattr(self, setting.name)
+            kind = type(setting.default)
             if value is None:
                 rendered = ""
-            elif kind == "list":
+            elif kind is tuple:
                 rendered = ";".join(value)
-            elif kind == "bool":
+            elif kind is bool:
                 rendered = "true" if value else "false"
             else:
                 rendered = str(value)
-            out.append((f"{section}.{key}", rendered))
+            out.append((key, rendered))
         return tuple(out)
 
 
-def _check_enum(value: str, allowed: tuple[str, ...], field: str) -> None:
-    if value not in allowed:
-        raise ConfigError(
-            field, f"invalid value {value!r}; expected one of {', '.join(allowed)}"
-        )
+#: INI `section.key` -> the ExperimentConfig field it sets, in report order
+_SETTINGS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Check enums, numeric ranges and path existence; raises ConfigError."""
-    _check_enum(config.corpus_format, CORPUS_FORMATS, "corpus.format")
-    _check_enum(config.label_policy, LABEL_POLICIES, "corpus.label_policy")
-    _check_enum(config.ontology_format, ONTOLOGY_FORMATS, "ontology.format")
-    _check_enum(config.representation, REPRESENTATIONS, "mapping.representation")
-    _check_enum(config.strategy, STRATEGIES, "mapping.strategy")
-    _check_enum(config.disambiguation, DISAMBIGUATIONS, "mapping.disambiguation")
-    _check_enum(config.hyperonym_variant, HYPERONYM_VARIANTS,
-                "mapping.hyperonym_variant")
-    _check_enum(config.weighting, WEIGHTINGS, "features.weighting")
-    _check_enum(config.classifier, CLASSIFIERS, "classify.classifier")
-    _check_enum(config.knn_similarity, SIMILARITIES, "classify.knn_similarity")
-
+    """Check what a config read from a file needs beyond its own checks:
+    the corpus path, a thesaurus unless stems, and that referenced paths
+    exist; raises ConfigError."""
     if not config.corpus_path:
         raise ConfigError("corpus.path", "required")
-    for i, cat in enumerate(config.categories):
-        if cat in config.categories[:i]:
-            raise ConfigError("corpus.categories",
-                              f"category {cat!r} listed more than once")
-    if config.k_features < 1:
-        raise ConfigError("features.k", "must be >= 1")
-    if config.knn_k < 1:
-        raise ConfigError("classify.knn_k", "must be >= 1")
-    if config.tree_min_leaf < 1:
-        raise ConfigError("classify.tree_min_leaf", "must be >= 1")
-    if config.tree_max_depth < 0:
-        raise ConfigError("classify.tree_max_depth", "must be >= 0 (0 = unlimited)")
-    if config.n_folds < 1:
-        raise ConfigError("evaluate.n_folds", "must be >= 1")
     if config.representation != "stems" and not config.ontology_path:
         raise ConfigError(
             "ontology.path",
@@ -177,29 +151,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError("config", f"bad INI syntax: {exc}") from None
 
-    known_sections = {section for section, _ in _SCHEMA}
+    known_sections = {key.split(".")[0] for key in _SETTINGS}
     values: dict[str, object] = {}
     for section in parser.sections():
         if section not in known_sections:
             raise ConfigError(section, "unknown section")
         for key, raw in parser.items(section):
-            if (section, key) not in _SCHEMA:
-                raise ConfigError(f"{section}.{key}", "unknown key")
-            field, kind = _SCHEMA[section, key]
+            name = f"{section}.{key}"
+            setting = _SETTINGS.get(name)
+            if setting is None:
+                raise ConfigError(name, "unknown key")
+            kind = type(setting.default)
             try:
-                if kind == "int":
-                    values[field] = int(raw)
-                elif kind == "bool":
-                    values[field] = parser.getboolean(section, key)
-                elif kind == "list":
-                    values[field] = tuple(
+                if kind is int:
+                    values[setting.name] = int(raw)
+                elif kind is bool:
+                    values[setting.name] = parser.getboolean(section, key)
+                elif kind is tuple:
+                    values[setting.name] = tuple(
                         part.strip() for part in raw.split(";") if part.strip()
                     )
                 else:
-                    values[field] = raw.strip()
+                    values[setting.name] = raw.strip()
             except ValueError:
                 raise ConfigError(
-                    f"{section}.{key}", f"cannot parse {raw!r} as {kind}"
+                    name, f"cannot parse {raw!r} as {kind.__name__}"
                 ) from None
 
     config = ExperimentConfig(**values, base_dir=path.parent)

@@ -39,14 +39,6 @@ CONCEPT_PREFIX = "c:"
 Recorder = Callable[[str], None]
 
 
-def descriptor_counts(vector: HybridVector) -> dict[str, int]:
-    """Flatten a hybrid vector into the shared descriptor namespace."""
-    counts = {TERM_PREFIX + s: n for s, n in vector.term_part.items()}
-    for cid, n in vector.concept_part.counts.items():
-        counts[CONCEPT_PREFIX + cid] = n
-    return counts
-
-
 def tfidf_weight(tf: float, df: int, nbr_category: int) -> float:
     """tf times the natural log of (category count / category df)."""
     if df < 1 or df > nbr_category:
@@ -126,17 +118,20 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     """Raw descriptor counts, one row per document.
 
     Columns are in descriptor (string) order; each row keeps its entries
-    in the vector's own order, which fixes the order of the float sums
-    downstream. An unlabeled document gets the label "".
+    in the vector's own order, stems before concepts, which fixes the
+    order of the float sums downstream. An unlabeled document gets the
+    label "".
     """
     col_of: dict[str, int] = {}
     indptr = [0]
     indices: list[int] = []
     data: list[int] = []
     for v in vectors:
-        counts = descriptor_counts(v)
-        indices.extend(col_of.setdefault(d, len(col_of)) for d in counts)
-        data.extend(counts.values())
+        for prefix, counts in ((TERM_PREFIX, v.term_part),
+                               (CONCEPT_PREFIX, v.concept_part.counts)):
+            indices.extend(col_of.setdefault(prefix + d, len(col_of))
+                           for d in counts)
+            data.extend(counts.values())
         indptr.append(len(indices))
     descriptors = sorted(col_of)
     rank = np.empty(len(col_of), dtype=np.int64)

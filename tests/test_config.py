@@ -1,4 +1,5 @@
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -236,9 +237,8 @@ class TestValidateConfig:
 
 
     def test_repeated_category_names_the_field(self, tmp_path):
-        config = self.base(tmp_path, categories=("Heart", "Lung", "Heart"))
         with pytest.raises(ConfigError, match="'Heart' listed more than once") as err:
-            validate_config(config)
+            self.base(tmp_path, categories=("Heart", "Lung", "Heart"))
         assert err.value.field == "corpus.categories"
 
     def test_repeated_category_rejected_on_load(self, tmp_path):
@@ -247,6 +247,98 @@ class TestValidateConfig:
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match="corpus.categories: category 'Heart'"):
             load_config(path)
+
+
+class TestEveryConfigIsChecked:
+    """A config built in code or made by `replace` is checked as a loaded
+    one is, with the same messages."""
+
+    def test_replace_of_a_loaded_config(self, tmp_path):
+        config = load_config(write_config(tmp_path, FULL_INI))
+        with pytest.raises(ConfigError) as err:
+            replace(config, classifier="svm")
+        assert err.value.field == "classify.classifier"
+        assert str(err.value) == (
+            "classify.classifier: invalid value 'svm'; expected one of knn, c45"
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"classifier": "KNN"},
+             "classify.classifier: invalid value 'KNN'; expected one of knn, c45"),
+            ({"representation": "concept"},
+             "mapping.representation: invalid value 'concept'; expected one of "
+             "stems, concepts, concepts_hyperonyms"),
+            ({"tree_max_depth": -1},
+             "classify.tree_max_depth: must be >= 0 (0 = unlimited)"),
+            ({"k_features": 0}, "features.k: must be >= 1"),
+        ],
+    )
+    def test_built_in_code(self, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**kwargs)
+        assert str(err.value) == message
+        assert err.value.field == message.split(":")[0]
+
+    def test_bounds_are_inclusive(self):
+        config = ExperimentConfig(k_features=1, knn_k=1, tree_min_leaf=1,
+                                  tree_max_depth=0, n_folds=1, seed=-3)
+        assert config.seed == -3
+
+    def test_echo_loads_back_to_an_equal_config(self, tmp_path):
+        config = replace(load_config(write_config(tmp_path, FULL_INI)),
+                         corpus_format="jsonl")
+        default = ExperimentConfig()
+        assert [f.name for f in fields(config)
+                if f.compare and getattr(config, f.name) == getattr(default, f.name)
+                ] == []
+        sections: dict[str, list[str]] = {}
+        for key, value in config.echo():
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}\n")
+        text = "".join(f"[{section}]\n" + "".join(lines)
+                       for section, lines in sections.items())
+        (tmp_path / "again").mkdir()
+        again = load_config(write_config(tmp_path / "again", text))
+        assert again == config
+        assert again.echo() == config.echo()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def table(self):
+        rows = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \| (.*?) \| (.*?) \|$",
+                          README.read_text(encoding="utf-8"), re.MULTILINE)
+        return {key: (default, allowed) for key, default, allowed in rows}
+
+    def test_settings_table_matches_the_declarations(self):
+        table = self.table()
+        echo = dict(ExperimentConfig().echo())
+        assert list(table) == list(echo)
+        for setting in fields(ExperimentConfig):
+            if not setting.metadata:
+                continue
+            key = setting.metadata["key"]
+            default, allowed = table[key]
+            assert default == (f"`{echo[key]}`" if echo[key] else "—"), key
+            if setting.metadata["allowed"]:
+                assert allowed == ", ".join(
+                    f"`{value}`" for value in setting.metadata["allowed"]), key
+            if setting.metadata["minimum"] is not None:
+                assert allowed == (f">= {setting.metadata['minimum']}"
+                                   f"{setting.metadata['note']}"), key
+
+    def test_minimal_config_loads(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        ini = re.search(r"A minimal config:\n\n```ini\n(.*?)```", text, re.DOTALL)
+        path = write_config(tmp_path, ini.group(1),
+                            referenced=("corpus.txt", "labels.tsv", "mesh.txt"))
+        config = load_config(path)
+        assert config.representation == "concepts_hyperonyms"
+        assert config.resolve(config.ontology_path) == tmp_path / "mesh.txt"
 
 
 class TestEcho:

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import synthcorpus
-from ontoclass import features
+from ontoclass import evaluate
 from ontoclass.config import ExperimentConfig
 from ontoclass.corpus import Corpus, Document
 from ontoclass.errors import ExperimentError, OntoclassError, ParseError
@@ -22,7 +22,7 @@ from ontoclass.evaluate import (
     run_experiment,
     write_report,
 )
-from ontoclass.features import descriptor_counts
+from ontoclass.features import count_matrix
 from ontoclass.ontology import build_ontology
 from ontoclass.preprocess import load_stoplist
 
@@ -192,11 +192,11 @@ class TestRunExperiment:
     def test_each_document_is_counted_once_per_run(self, monkeypatch):
         walked = Counter()
 
-        def counting(vector):
-            walked[vector.doc_id] += 1
-            return descriptor_counts(vector)
+        def counting(vectors):
+            walked.update(v.doc_id for v in vectors)
+            return count_matrix(vectors)
 
-        monkeypatch.setattr(features, "descriptor_counts", counting)
+        monkeypatch.setattr(evaluate, "count_matrix", counting)
         corpus = separable_corpus()
         report = run_experiment(corpus, None, stems_config(n_folds=3))
         assert len(report.per_fold) == 3

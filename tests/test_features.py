@@ -20,7 +20,6 @@ from ontoclass.features import (
     build_matrix,
     chi_square,
     count_matrix,
-    descriptor_counts,
     save_matrix,
     select_top_k,
     tfidf_weight,
@@ -135,10 +134,21 @@ class TestChiSquare:
                 assert (score == 0.0) == (n11 * n00 == n10 * n01)
 
 
+def descriptor_counts(vector):
+    """A hybrid vector flattened into the shared descriptor namespace, as
+    `count_matrix` counts it: stems first, then concepts."""
+    counts = {"t:" + s: n for s, n in vector.term_part.items()}
+    for cid, n in vector.concept_part.counts.items():
+        counts["c:" + cid] = n
+    return counts
+
+
 class TestDescriptorCounts:
     def test_namespaces_are_disjoint(self):
         v = hv("d", {"cold": 2}, {"cold": 5})
-        assert descriptor_counts(v) == {"t:cold": 2, "c:cold": 5}
+        counts = count_matrix([v])
+        assert counts.descriptors == ("c:cold", "t:cold")
+        assert counts.values.toarray().tolist() == [[5.0, 2.0]]
 
 
 class TestCountMatrix:
