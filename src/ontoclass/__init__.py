@@ -31,13 +31,11 @@ from .errors import (
 from .evaluate import (
     CategoryMetrics,
     EvalReport,
-    FoldPlan,
     f_measure,
     make_folds,
     run_experiment,
 )
 from .features import (
-    ContingencyTable,
     FeatureSpace,
     WeightedMatrix,
     build_matrix,
@@ -71,14 +69,12 @@ __all__ = [
     "Concept",
     "ConceptVector",
     "ConfigError",
-    "ContingencyTable",
     "Corpus",
     "Document",
     "EvalReport",
     "ExperimentConfig",
     "ExperimentError",
     "FeatureSpace",
-    "FoldPlan",
     "HybridVector",
     "KnnModel",
     "MappingConfig",

@@ -66,7 +66,8 @@ def _load_labeled_corpus(config: ExperimentConfig):
             categories=config.categories or None,
             policy=config.label_policy,
         )
-    elif config.categories and config.corpus_format == "textdir":
+    elif config.categories and config.corpus_format != "ohsumed":
+        # textdir and jsonl documents carry their own labels
         own_labels = {d.doc_id: d.labels for d in corpus.documents if d.labels}
         corpus = assign_labels(
             corpus, own_labels,

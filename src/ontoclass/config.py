@@ -32,6 +32,11 @@ def _setting(key: str, default, allowed: tuple[str, ...] = (),
         "key": key, "allowed": allowed, "minimum": minimum, "note": note})
 
 
+def _kind(setting) -> type:
+    """A setting's kind: its default's type, or str for a None default."""
+    return str if setting.default is None else type(setting.default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one evaluation run needs; every instance is checked when
@@ -74,6 +79,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, setting in _SETTINGS.items():
             value, meta = getattr(self, setting.name), setting.metadata
+            if value is None and setting.default is None:
+                continue
+            kind = _kind(setting)
+            if type(value) is not kind or (
+                    kind is tuple and any(type(v) is not str for v in value)):
+                name = "tuple of str" if kind is tuple else kind.__name__
+                raise ConfigError(key, f"expected {name}, got {value!r}")
             if meta["allowed"] and value not in meta["allowed"]:
                 raise ConfigError(key, f"invalid value {value!r}; expected one "
                                        f"of {', '.join(meta['allowed'])}")
@@ -93,8 +105,7 @@ class ExperimentConfig:
         """Flat (section.key, value) pairs in field order, for reports."""
         out = []
         for key, setting in _SETTINGS.items():
-            value = getattr(self, setting.name)
-            kind = type(setting.default)
+            value, kind = getattr(self, setting.name), _kind(setting)
             if value is None:
                 rendered = ""
             elif kind is tuple:
@@ -161,7 +172,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             setting = _SETTINGS.get(name)
             if setting is None:
                 raise ConfigError(name, "unknown key")
-            kind = type(setting.default)
+            kind = _kind(setting)
             try:
                 if kind is int:
                     values[setting.name] = int(raw)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .classify import (
     TreeConfig,
     c45_predict_all,
@@ -45,27 +47,9 @@ log = logging.getLogger(__name__)
 FitRecorder = Callable[[int, str], None]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Assignment of every document to one of n folds."""
-
-    n_folds: int
-    assignment: dict[str, int]
-
-    def __post_init__(self):
-        for doc_id, fold in self.assignment.items():
-            if not 0 <= fold < self.n_folds:
-                raise OntoclassError(
-                    f"document {doc_id!r} assigned to fold {fold} "
-                    f"outside [0, {self.n_folds})"
-                )
-
-    def fold_ids(self, fold: int) -> frozenset[str]:
-        return frozenset(d for d, f in self.assignment.items() if f == fold)
-
-
-def make_folds(labels: Mapping[str, str], n: int, seed: int) -> FoldPlan:
-    """Stratified folds: per category, seeded shuffle then round-robin.
+def make_folds(labels: Mapping[str, str], n: int, seed: int) -> dict[str, int]:
+    """Each document's fold in [0, n): per category, seeded shuffle then
+    round-robin.
 
     Per-category fold sizes can differ by at most 1. Categories with
     fewer than n documents are allowed (some folds just miss them) with
@@ -86,7 +70,7 @@ def make_folds(labels: Mapping[str, str], n: int, seed: int) -> FoldPlan:
         rng.shuffle(ids)
         for i, doc_id in enumerate(ids):
             assignment[doc_id] = i % n
-    return FoldPlan(n_folds=n, assignment=assignment)
+    return assignment
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -124,10 +108,12 @@ class EvalReport:
 
 
 def _confusion_to_metrics(
-    categories: Sequence[str], conf: Mapping[str, list[int]]
+    categories: Sequence[str], conf: np.ndarray
 ) -> tuple[CategoryMetrics, ...]:
+    """One `CategoryMetrics` per row of a categories x (tp, fp, fn) array."""
     return tuple(
-        CategoryMetrics.from_counts(cat, *conf[cat]) for cat in categories
+        CategoryMetrics.from_counts(cat, *row)
+        for cat, row in zip(categories, conf.tolist())
     )
 
 
@@ -171,7 +157,8 @@ def run_experiment(
     fold membership are read from it, and each fold takes its rows. Every
     fold fits its feature space on its training rows only, weights its
     training and held-out rows with `build_matrix`, then classifies the
-    held-out rows; per-category tp/fp/fn are pooled across folds before
+    held-out rows; each fold counts per-category tp/fp/fn into a
+    categories x 3 array, and the folds' arrays are summed before
     precision/recall/F. n_folds = 1 is a diagnostic mode that trains and
     tests on the full corpus. Folds run in a thread pool when threads > 1;
     results reduce in fold order, so the report is identical for any
@@ -186,21 +173,18 @@ def run_experiment(
     counts = count_matrix(vectors)
     require_labels(counts)
 
-    if config.n_folds == 1:
+    n_folds = config.n_folds
+    if n_folds == 1:
         log.warning("single-fold diagnostic mode: training set = test set")
-        everything = list(range(len(vectors)))
-        splits = [(everything, everything)]
+        fold_of = np.zeros(len(counts.doc_ids), dtype=np.int64)
     else:
         plan = make_folds(dict(zip(counts.doc_ids, counts.labels)),
-                          config.n_folds, config.seed)
-        fold_of = [plan.assignment[doc_id] for doc_id in counts.doc_ids]
-        splits = [
-            ([i for i, f in enumerate(fold_of) if f != fold],
-             [i for i, f in enumerate(fold_of) if f == fold])
-            for fold in range(config.n_folds)
-        ]
+                          n_folds, config.seed)
+        fold_of = np.array([plan[doc_id] for doc_id in counts.doc_ids])
+    category_of = {cat: i for i, cat in enumerate(categories)}
+    actual_of = np.array([category_of[lab] for lab in counts.labels])
 
-    def rows(positions: list[int]) -> WeightedMatrix:
+    def rows(positions: np.ndarray) -> WeightedMatrix:
         return WeightedMatrix(
             doc_ids=tuple(counts.doc_ids[i] for i in positions),
             descriptors=counts.descriptors,
@@ -208,10 +192,12 @@ def run_experiment(
             labels=tuple(counts.labels[i] for i in positions),
         )
 
-    def run_fold(fold: int) -> dict[str, list[int]]:
+    def run_fold(fold: int) -> np.ndarray:
+        """The fold's categories x (tp, fp, fn) counts."""
         try:
-            train, test = splits[fold]
-            if not (train and test):
+            test = np.flatnonzero(fold_of == fold)
+            train = test if n_folds == 1 else np.flatnonzero(fold_of != fold)
+            if not (train.size and test.size):
                 raise OntoclassError("a fold came out empty")
             train_counts, test_counts = rows(train), rows(test)
             recorder = None
@@ -237,28 +223,22 @@ def run_experiment(
                 predicted = c45_predict_all(tree, test_m)
         except Exception as exc:
             raise ExperimentError(f"fold {fold}: {exc}") from exc
-        conf = {cat: [0, 0, 0] for cat in categories}  # tp, fp, fn
-        for actual, pred in zip(test_counts.labels, predicted):
-            if pred == actual:
-                conf[actual][0] += 1
-            else:
-                conf[pred][1] += 1
-                conf[actual][2] += 1
-        return conf
+        actual = actual_of[test]
+        guessed = np.array([category_of[cat] for cat in predicted], dtype=np.int64)
+        miss = actual != guessed
+        return np.stack([
+            np.bincount(actual[~miss], minlength=len(categories)),
+            np.bincount(guessed[miss], minlength=len(categories)),
+            np.bincount(actual[miss], minlength=len(categories)),
+        ], axis=1)
 
-    n_folds = len(splits)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             fold_confs = list(pool.map(run_fold, range(n_folds)))
     else:
         fold_confs = [run_fold(i) for i in range(n_folds)]
 
-    pooled = {cat: [0, 0, 0] for cat in categories}
-    for conf in fold_confs:
-        for cat in categories:
-            for slot in range(3):
-                pooled[cat][slot] += conf[cat][slot]
-    per_category = _confusion_to_metrics(categories, pooled)
+    per_category = _confusion_to_metrics(categories, sum(fold_confs))
     macro_f = sum(m.f_measure for m in per_category) / len(per_category)
     per_fold = tuple(
         _confusion_to_metrics(categories, conf) for conf in fold_confs

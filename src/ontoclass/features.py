@@ -48,37 +48,15 @@ def tfidf_weight(tf: float, df: int, nbr_category: int) -> float:
     return tf * math.log(nbr_category / df)
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """2x2 descriptor/category table.
+def chi_square(n11: int, n10: int, n01: int, n00: int) -> float:
+    """Standard chi-square of a 2x2 descriptor/category table; degenerate
+    tables, where a marginal is empty, score 0.
 
     n11: in-category documents containing the descriptor; n10: in-category
     without it; n01: out-category containing it; n00: the rest.
     """
-
-    n11: int
-    n10: int
-    n01: int
-    n00: int
-
-    def __post_init__(self):
-        if min(self.n11, self.n10, self.n01, self.n00) < 0:
-            raise ValueError("negative contingency cell")
-
-    @property
-    def degenerate(self) -> bool:
-        """True when any marginal is empty (chi-square is undefined)."""
-        return 0 in (
-            self.n11 + self.n10,
-            self.n01 + self.n00,
-            self.n11 + self.n01,
-            self.n10 + self.n00,
-        )
-
-
-def chi_square(table: ContingencyTable) -> float:
-    """Standard 2x2 chi-square; degenerate tables score 0."""
-    n11, n10, n01, n00 = table.n11, table.n10, table.n01, table.n00
+    if min(n11, n10, n01, n00) < 0:
+        raise ValueError("negative contingency cell")
     # the product of the four marginals is zero exactly when one is empty
     den = (n11 + n01) * (n11 + n10) * (n10 + n00) * (n01 + n00)
     if not den:
@@ -302,12 +280,8 @@ def select_top_k(
         rest, freq = divmod(key, base)
         rank, n11 = divmod(rest, base)
         size = size_list[rank]
-        distinct.append(chi_square(ContingencyTable(
-            n11=n11,
-            n10=size - n11,
-            n01=freq - n11,
-            n00=n_docs - size - (freq - n11),
-        )))
+        distinct.append(chi_square(n11, size - n11, freq - n11,
+                                   n_docs - size - (freq - n11)))
     table_scores = np.asarray(distinct, dtype=np.float64)
     scores = np.empty((n_rows, n_desc), dtype=np.float64)
     for row in range(n_rows):

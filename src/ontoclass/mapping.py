@@ -46,9 +46,6 @@ class HybridVector:
     concept_part: ConceptVector
     labels: tuple[str, ...] = ()
 
-    def dimensionality(self) -> int:
-        return len(self.term_part) + len(self.concept_part.counts)
-
 
 @dataclass(frozen=True)
 class MappingConfig:

@@ -34,7 +34,7 @@ from ontoclass.evaluate import (
     report_to_csv,
     run_experiment,
 )
-from ontoclass.features import ContingencyTable, WeightedMatrix, chi_square
+from ontoclass.features import WeightedMatrix, chi_square
 from ontoclass.mapping import STRATEGIES, MappingConfig, map_document
 from ontoclass.ontology import build_ontology
 from ontoclass.porter import stem
@@ -97,28 +97,29 @@ def test_criterion_2_hyperonyms_keep_or_improve_macro_f():
 def test_criterion_3_chi_square_matches_definition():
     started = time.monotonic()
 
-    def definitional(t):
-        row1, row0 = t.n11 + t.n10, t.n01 + t.n00
-        col1, col0 = t.n11 + t.n01, t.n10 + t.n00
+    def definitional(n11, n10, n01, n00):
+        row1, row0 = n11 + n10, n01 + n00
+        col1, col0 = n11 + n01, n10 + n00
         total = row1 + row0
         out = 0.0
         for observed, r, c in (
-            (t.n11, row1, col1), (t.n10, row1, col0),
-            (t.n01, row0, col1), (t.n00, row0, col0),
+            (n11, row1, col1), (n10, row1, col0),
+            (n01, row0, col1), (n00, row0, col0),
         ):
             expected = r * c / total
             out += (observed - expected) ** 2 / expected
         return out
 
-    assert chi_square(ContingencyTable(4, 1, 1, 4)) == 3.6
+    assert chi_square(4, 1, 1, 4) == 3.6
 
     rng = random.Random(99)
     checked = 0
     while checked < 1000:
-        t = ContingencyTable(*(rng.randint(0, 40) for _ in range(4)))
-        if t.degenerate:
+        t = [rng.randint(0, 40) for _ in range(4)]
+        n11, n10, n01, n00 = t
+        if 0 in (n11 + n10, n01 + n00, n11 + n01, n10 + n00):
             continue
-        assert abs(chi_square(t) - definitional(t)) <= 1e-9
+        assert abs(chi_square(*t) - definitional(*t)) <= 1e-9
         checked += 1
     assert time.monotonic() - started < 1
 
@@ -149,6 +150,11 @@ def test_criterion_4_stemmer_reference_pairs_and_stability():
     assert time.monotonic() - started < 5
 
 
+def dimensionality(vector):
+    """Distinct stems plus distinct concepts of a mapped document."""
+    return len(vector.term_part) + len(vector.concept_part.counts)
+
+
 def test_criterion_5_synonyms_merge_to_cf_3_under_every_strategy():
     stop = load_stoplist()
     onto = build_ontology(
@@ -170,7 +176,7 @@ def test_criterion_5_synonyms_merge_to_cf_3_under_every_strategy():
     for doc in fx.corpus.documents:
         vec = preprocess_text(doc.doc_id, doc.text, stop)
         dims = [
-            map_document(vec, fx_onto, MappingConfig(strategy=s)).dimensionality()
+            dimensionality(map_document(vec, fx_onto, MappingConfig(strategy=s)))
             for s in ("ConceptOnly", "ReplaceTerms", "AddConcept")
         ]
         assert dims[0] <= dims[1] <= dims[2], doc.doc_id
@@ -191,15 +197,18 @@ def test_criterion_7_cross_validation_hygiene():
     fx = synthcorpus.sibling_merge_fixture(seed=0)
     labels = {d.doc_id: d.labels[0] for d in fx.corpus.documents}
 
+    def members(plan, fold):
+        return {doc_id for doc_id, f in plan.items() if f == fold}
+
     plan = make_folds(labels, 5, seed=11)
     assigned = Counter()
     for fold in range(5):
-        assigned.update(plan.fold_ids(fold))
+        assigned.update(members(plan, fold))
     assert set(assigned) == set(labels)
     assert all(count == 1 for count in assigned.values())
     for category in set(labels.values()):
         sizes = [
-            sum(1 for d in plan.fold_ids(fold) if labels[d] == category)
+            sum(1 for d in members(plan, fold) if labels[d] == category)
             for fold in range(5)
         ]
         assert max(sizes) - min(sizes) <= 1
@@ -216,7 +225,7 @@ def test_criterion_7_cross_validation_hygiene():
     leaks = [
         (fold, doc_id)
         for fold, doc_id in fitted
-        if doc_id in replan.fold_ids(fold)
+        if doc_id in members(replan, fold)
     ]
     assert leaks == []
 

@@ -169,6 +169,37 @@ class TestSubcommands:
         assert err.startswith("error [report]")
         assert "run evaluate first" in err
 
+    def test_category_subset_applies_to_textdir_and_its_cache(self, tmp_path):
+        for cat, marker in (("A", "kardol"), ("B", "moxart"), ("C", "fenwip")):
+            (tmp_path / "docs" / cat).mkdir(parents=True)
+            for i in range(4):
+                (tmp_path / "docs" / cat / f"{i}.txt").write_text(
+                    f"{marker} note\npatient {marker} case{i}\n", encoding="utf-8")
+        textdir_ini = ("[corpus]\npath = docs\nformat = textdir\n"
+                       "[mapping]\nrepresentation = stems\n"
+                       "[classify]\nknn_k = 1\n"
+                       "[evaluate]\nn_folds = 2\n"
+                       "[cli]\noutput_dir = out\n")
+        (tmp_path / "full.ini").write_text(textdir_ini, encoding="utf-8")
+        assert run(tmp_path, "ingest", config="full.ini") == 0
+        assert '"categories": ["A", "B", "C"]' in (
+            tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8")
+
+        subset = textdir_ini.replace("format = textdir\n",
+                                     "format = textdir\ncategories = A;B\n")
+        cached = subset.replace("path = docs\nformat = textdir",
+                                "path = out/corpus.jsonl\nformat = jsonl")
+        rows = {}
+        for name, ini in (("textdir", subset), ("jsonl", cached)):
+            (tmp_path / f"{name}.ini").write_text(ini, encoding="utf-8")
+            assert run(tmp_path, "evaluate", config=f"{name}.ini") == 0
+            rows[name] = [line for line in (tmp_path / "out" / "report.csv")
+                          .read_text(encoding="utf-8").splitlines()
+                          if not line.startswith("#")]
+        assert {line.split(",")[1] for line in rows["jsonl"][1:]} == {
+            "A", "B", "AvG"}
+        assert rows["jsonl"] == rows["textdir"]
+
 
 class TestConfigPaths:
     def test_relative_stoplist_resolves_against_config_dir(

@@ -281,6 +281,26 @@ class TestEveryConfigIsChecked:
         assert str(err.value) == message
         assert err.value.field == message.split(":")[0]
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"knn_k": "5"}, "classify.knn_k: expected int, got '5'"),
+            ({"knn_k": True}, "classify.knn_k: expected int, got True"),
+            ({"categories": "AB"},
+             "corpus.categories: expected tuple of str, got 'AB'"),
+            ({"categories": ("A", 2)},
+             "corpus.categories: expected tuple of str, got ('A', 2)"),
+            ({"tree_prune": "no"}, "classify.tree_prune: expected bool, got 'no'"),
+            ({"label_map": 3}, "corpus.label_map: expected str, got 3"),
+            ({"corpus_path": None}, "corpus.path: expected str, got None"),
+        ],
+    )
+    def test_wrong_kind_names_the_key(self, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**kwargs)
+        assert str(err.value) == message
+        assert err.value.field == message.split(":")[0]
+
     def test_bounds_are_inclusive(self):
         config = ExperimentConfig(k_features=1, knn_k=1, tree_min_leaf=1,
                                   tree_max_depth=0, n_folds=1, seed=-3)

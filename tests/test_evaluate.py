@@ -13,7 +13,6 @@ from ontoclass.errors import ExperimentError, OntoclassError, ParseError
 from ontoclass.evaluate import (
     CategoryMetrics,
     EvalReport,
-    FoldPlan,
     f_measure,
     make_folds,
     read_report_csv,
@@ -27,11 +26,16 @@ from ontoclass.ontology import build_ontology
 from ontoclass.preprocess import load_stoplist
 
 
+def fold_members(plan, fold):
+    """The documents a fold plan puts in one fold."""
+    return {doc_id for doc_id, f in plan.items() if f == fold}
+
+
 class TestMakeFolds:
     def test_single_category_even_deal(self):
         labels = {f"d{i}": "A" for i in range(10)}
         plan = make_folds(labels, 5, seed=0)
-        sizes = Counter(plan.assignment.values())
+        sizes = Counter(plan.values())
         assert sizes == {0: 2, 1: 2, 2: 2, 3: 2, 4: 2}
 
     def test_two_categories_stratified_exactly(self):
@@ -39,26 +43,26 @@ class TestMakeFolds:
         labels.update({f"b{i}": "B" for i in range(10)})
         plan = make_folds(labels, 5, seed=1)
         for fold in range(5):
-            ids = plan.fold_ids(fold)
+            ids = fold_members(plan, fold)
             per_cat = Counter(labels[d] for d in ids)
             assert per_cat == {"A": 2, "B": 2}
 
     def test_seven_documents_five_folds(self):
         labels = {f"d{i}": "A" for i in range(7)}
         plan = make_folds(labels, 5, seed=3)
-        sizes = sorted(Counter(plan.assignment.values()).values(), reverse=True)
+        sizes = sorted(Counter(plan.values()).values(), reverse=True)
         assert sizes == [2, 2, 1, 1, 1]
 
     def test_partition_and_stratification_invariants(self):
         rng = random.Random(9)
         labels = {f"d{i}": rng.choice("ABC") for i in range(53)}
         plan = make_folds(labels, 5, seed=7)
-        assert set(plan.assignment) == set(labels)
-        all_ids = [d for f in range(5) for d in plan.fold_ids(f)]
+        assert set(plan) == set(labels)
+        all_ids = [d for f in range(5) for d in fold_members(plan, f)]
         assert len(all_ids) == len(set(all_ids)) == 53
         for cat in "ABC":
             per_fold = [
-                sum(1 for d in plan.fold_ids(f) if labels[d] == cat)
+                sum(1 for d in fold_members(plan, f) if labels[d] == cat)
                 for f in range(5)
             ]
             assert max(per_fold) - min(per_fold) <= 1
@@ -66,23 +70,18 @@ class TestMakeFolds:
     def test_same_seed_same_plan(self):
         labels = {f"d{i}": "AB"[i % 2] for i in range(20)}
         assert make_folds(labels, 4, seed=5) == make_folds(labels, 4, seed=5)
-        assert (make_folds(labels, 4, seed=5).assignment
-                != make_folds(labels, 4, seed=6).assignment)
+        assert make_folds(labels, 4, seed=5) != make_folds(labels, 4, seed=6)
 
     def test_small_category_warns(self, caplog):
         labels = {"d1": "A", "d2": "A", "d3": "A", "d4": "B"}
         with caplog.at_level(logging.WARNING, logger="ontoclass.evaluate"):
             plan = make_folds(labels, 3, seed=0)
         assert "has 1 documents for 3 folds" in caplog.text
-        assert len(plan.assignment) == 4
+        assert len(plan) == 4
 
     def test_fewer_than_two_folds_rejected(self):
         with pytest.raises(OntoclassError):
             make_folds({"d1": "A"}, 1, seed=0)
-
-    def test_fold_plan_range_checked(self):
-        with pytest.raises(OntoclassError):
-            FoldPlan(n_folds=2, assignment={"d1": 2})
 
 
 class TestFMeasure:
@@ -169,6 +168,13 @@ class TestRunExperiment:
         for snapshot in report.per_fold:
             assert [m.category for m in snapshot] == list(MARKERS)
 
+    def test_a_fold_with_no_test_document_is_an_error(self):
+        # two documents per category deal into folds 0 and 1 only
+        corpus = separable_corpus(docs_per_cat=2)
+        with pytest.raises(ExperimentError,
+                           match=r"^fold 2: a fold came out empty$"):
+            run_experiment(corpus, None, stems_config(n_folds=3))
+
     def test_deterministic_and_thread_invariant(self):
         corpus = separable_corpus()
         a = run_experiment(corpus, None, stems_config())
@@ -187,7 +193,7 @@ class TestRunExperiment:
         plan = make_folds(labels, config.n_folds, config.seed)
         assert touched
         for fold, doc_id in touched:
-            assert doc_id not in plan.fold_ids(fold)
+            assert doc_id not in fold_members(plan, fold)
 
     def test_each_document_is_counted_once_per_run(self, monkeypatch):
         walked = Counter()

@@ -14,7 +14,6 @@ from scipy import sparse
 from ontoclass import features
 from ontoclass.errors import OntoclassError
 from ontoclass.features import (
-    ContingencyTable,
     FeatureSpace,
     WeightedMatrix,
     build_matrix,
@@ -50,6 +49,11 @@ def chi_square_definitional(n11, n10, n01, n00):
     return acc
 
 
+def degenerate(n11, n10, n01, n00):
+    """True when a marginal of the 2x2 table is empty."""
+    return 0 in (n11 + n10, n01 + n00, n11 + n01, n10 + n00)
+
+
 class TestTfidfWeight:
     def test_df_equal_to_category_count_is_zero(self):
         assert tfidf_weight(7, 5, 5) == 0.0
@@ -78,59 +82,57 @@ class TestTfidfWeight:
 
 class TestChiSquare:
     def test_independent_table_scores_zero(self):
-        assert chi_square(ContingencyTable(2, 2, 2, 2)) == 0.0
+        assert chi_square(2, 2, 2, 2) == 0.0
 
     def test_worked_value_exact(self):
-        assert chi_square(ContingencyTable(4, 1, 1, 4)) == 3.6
+        assert chi_square(4, 1, 1, 4) == 3.6
 
     def test_perfect_association_equals_total(self):
-        assert chi_square(ContingencyTable(5, 0, 0, 5)) == 10.0
+        assert chi_square(5, 0, 0, 5) == 10.0
 
     def test_degenerate_marginal_scores_zero(self):
-        assert chi_square(ContingencyTable(0, 0, 3, 5)) == 0.0
-        assert chi_square(ContingencyTable(3, 5, 0, 0)) == 0.0
-        assert chi_square(ContingencyTable(0, 3, 0, 5)) == 0.0
-        assert chi_square(ContingencyTable(3, 0, 5, 0)) == 0.0
+        assert chi_square(0, 0, 3, 5) == 0.0
+        assert chi_square(3, 5, 0, 0) == 0.0
+        assert chi_square(0, 3, 0, 5) == 0.0
+        assert chi_square(3, 0, 5, 0) == 0.0
 
     def test_negative_cell_rejected(self):
-        with pytest.raises(ValueError):
-            ContingencyTable(1, -1, 2, 2)
+        with pytest.raises(ValueError, match="negative contingency cell"):
+            chi_square(1, -1, 2, 2)
 
     def test_matches_definitional_form(self):
         rng = random.Random(17)
         checked = 0
         while checked < 1000:
             cells = [rng.randint(0, 30) for _ in range(4)]
-            table = ContingencyTable(*cells)
-            if table.degenerate:
+            if degenerate(*cells):
                 continue
-            assert abs(chi_square(table) - chi_square_definitional(*cells)) <= 1e-9
+            assert abs(chi_square(*cells) - chi_square_definitional(*cells)) <= 1e-9
             checked += 1
 
     def test_invariant_under_category_complement(self):
         rng = random.Random(5)
         for _ in range(200):
             n11, n10, n01, n00 = (rng.randint(0, 12) for _ in range(4))
-            a = chi_square(ContingencyTable(n11, n10, n01, n00))
-            b = chi_square(ContingencyTable(n01, n00, n11, n10))
+            a = chi_square(n11, n10, n01, n00)
+            b = chi_square(n01, n00, n11, n10)
             assert math.isclose(a, b, abs_tol=1e-12)
 
     def test_invariant_under_term_complement(self):
         rng = random.Random(6)
         for _ in range(200):
             n11, n10, n01, n00 = (rng.randint(0, 12) for _ in range(4))
-            a = chi_square(ContingencyTable(n11, n10, n01, n00))
-            b = chi_square(ContingencyTable(n10, n11, n00, n01))
+            a = chi_square(n11, n10, n01, n00)
+            b = chi_square(n10, n11, n00, n01)
             assert math.isclose(a, b, abs_tol=1e-12)
 
     def test_non_negative_and_zero_iff_independent(self):
         rng = random.Random(7)
         for _ in range(500):
             n11, n10, n01, n00 = (rng.randint(0, 9) for _ in range(4))
-            table = ContingencyTable(n11, n10, n01, n00)
-            score = chi_square(table)
+            score = chi_square(n11, n10, n01, n00)
             assert score >= 0.0
-            if not table.degenerate:
+            if not degenerate(n11, n10, n01, n00):
                 assert (score == 0.0) == (n11 * n00 == n10 * n01)
 
 
@@ -337,7 +339,7 @@ class TestCategoryStats:
 
 
 def select_top_k_reference(vectors, k, categories=None):
-    """The per-pair loop: one ContingencyTable for every category x
+    """The per-pair loop: one chi-square table for every category x
     descriptor, ranked by (-score, descriptor)."""
     cats = tuple(categories) if categories is not None else tuple(
         dict.fromkeys(v.labels[0] for v in vectors)
@@ -355,10 +357,10 @@ def select_top_k_reference(vectors, k, categories=None):
         for desc, by_cat in sorted(presence.items()):
             with_desc = sum(by_cat.values())
             n11 = by_cat[cat]
-            score = chi_square(ContingencyTable(
+            score = chi_square(
                 n11, size - n11, with_desc - n11,
                 len(vectors) - size - (with_desc - n11),
-            ))
+            )
             scores[(cat, desc)] = score
             if score > 0:
                 ranked.append((score, desc))
@@ -459,10 +461,9 @@ class TestSelectTopKWork:
         ]
         scored = Counter()
 
-        def counting(table):
-            scored[(table.n11 + table.n10, table.n11,
-                    table.n11 + table.n01)] += 1
-            return chi_square(table)
+        def counting(n11, n10, n01, n00):
+            scored[(n11 + n10, n11, n11 + n01)] += 1
+            return chi_square(n11, n10, n01, n00)
 
         monkeypatch.setattr(features, "chi_square", counting)
         space = select_top_k(vecs, k=3)

@@ -105,36 +105,59 @@ def defined_names(stmt: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def unused_public_names(modules: list[Path]) -> list[str]:
-    """Public module-level functions, classes and constants that no other
-    place in `modules` names. A definition naming itself does not count,
-    and neither does a package `__init__.py`, which only re-exports."""
-    defined: dict[str, str] = {}
+def names_read(node: ast.AST, skip: list[str]) -> set[str]:
+    """Every plain name, attribute and imported name under `node`, less
+    `skip`."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found - set(skip)
+
+
+def unused_public_names(modules: list[Path], readers: list[Path] = ()) -> list[str]:
+    """Public module-level functions, classes and constants, and public
+    methods and properties, that no other place in `modules` names. A
+    definition naming itself does not count, and neither does a package
+    `__init__.py`, which only re-exports. An attribute read in one of
+    `readers`, code outside the package, counts as a use too."""
+    defined: list[tuple[str, str]] = []
     used: set[str] = set()
     for path in modules:
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             owners = defined_names(stmt)
-            for owner in owners:
-                if not owner.startswith("_"):
-                    defined[owner] = f"{path.name}:{stmt.lineno} {owner}"
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
+            defined += [(owner, f"{path.name}:{stmt.lineno} {owner}")
+                        for owner in owners if not owner.startswith("_")]
+            if not isinstance(stmt, ast.ClassDef):
+                used |= names_read(stmt, owners)
+                continue
+            for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+                used |= names_read(node, owners)
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        defined.append((item.name, f"{path.name}:{item.lineno} "
+                                                   f"{stmt.name}.{item.name}"))
+                    used |= names_read(item, owners + [item.name])
                 else:
-                    continue
-                if name not in owners:
-                    used.add(name)
-    return sorted(where for name, where in defined.items() if name not in used)
+                    used |= names_read(item, owners)
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(where for name, where in defined if name not in used)
 
 
 def test_every_public_name_is_used_by_the_package():
-    assert unused_public_names(sorted(PACKAGE_DIR.glob("*.py"))) == []
+    readers = sorted((PACKAGE_DIR.parent.parent / "bench").glob("*.py"))
+    assert readers
+    assert unused_public_names(sorted(PACKAGE_DIR.glob("*.py")), readers) == []
 
 
 def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
@@ -168,6 +191,44 @@ def test_unused_checker_sees_what_only_its_own_body_names(tmp_path):
         "a.py:10 SPARE",
         "a.py:11 LOOP_START",
     ]
+
+
+def test_unused_checker_sees_methods_and_reads_outside_the_package(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "class Tree(Base):\n"
+        "    child: Tree\n"
+        "    def size(self):\n"
+        "        return 1 + self.size()\n"
+        "    @property\n"
+        "    def depth(self):\n"
+        "        return 0\n"
+        "    def leaves(self):\n"
+        "        return self.depth\n"
+        "    def shown(self):\n"
+        "        return 2\n"
+        "    def _helper(self):\n"
+        "        return 3\n"
+        "    def __len__(self):\n"
+        "        return 4\n"
+        "class Base:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text(
+        "from .a import Tree\n"
+        "def _grow():\n"
+        "    return Tree().leaves\n",
+        encoding="utf-8",
+    )
+    reader = tmp_path / "bench.py"
+    reader.write_text("shown = 1\nprint(tree.shown())\nleaves, size = 1, 2\n",
+                      encoding="utf-8")
+    modules = sorted(package.glob("*.py"))
+    assert unused_public_names(modules, [reader]) == ["a.py:3 Tree.size"]
+    assert unused_public_names(modules) == ["a.py:10 Tree.shown",
+                                            "a.py:3 Tree.size"]
 
 
 def reexported_names(init: Path) -> list[str]:
