@@ -53,7 +53,6 @@ from .mapping import (
     match_phrases,
 )
 from .ontology import (
-    Concept,
     Ontology,
     build_ontology,
     import_mesh_ascii,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CategoryMetrics",
-    "Concept",
     "ConceptVector",
     "ConfigError",
     "Corpus",

@@ -5,7 +5,8 @@ The tagged record layout handled here is the classic medical-abstract
 interchange format: records are separated by a ``.I <seq>`` line and carry
 single-letter tag lines (``.U`` id, ``.T`` title, ``.W`` abstract, ``.M``
 thesaurus annotations, ``.A`` authors, ``.S`` source, ``.P`` publication
-type), each followed by its content line(s).
+type), each followed by its content line(s). Authors, source and
+publication type are accepted and not kept.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class Document:
     title: str = ""
     abstract: str = ""
     mesh_annotations: tuple[str, ...] = ()
-    authors: str = ""
-    source: str = ""
-    pub_type: str = ""
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -154,9 +152,6 @@ def parse_ohsumed(stream: IO[str] | Iterable[str]) -> Corpus:
                     mesh_annotations=tuple(
                         p.strip() for p in mesh.split(";") if p.strip()
                     ),
-                    authors=" ".join(fields.get(".A", ())).strip(),
-                    source=" ".join(fields.get(".S", ())).strip(),
-                    pub_type=" ".join(fields.get(".P", ())).strip(),
                 )
             )
         fields = {}
@@ -335,7 +330,7 @@ def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(asdict(doc), sort_keys=True) + "\n")
 
 
-_JSONL_TEXT_FIELDS = ("title", "abstract", "authors", "source", "pub_type")
+_JSONL_TEXT_FIELDS = ("title", "abstract")
 
 
 def _jsonl_strings(rec: dict, key: str, lineno: int) -> tuple[str, ...]:

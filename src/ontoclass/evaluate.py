@@ -160,7 +160,8 @@ def run_experiment(
     held-out rows; each fold counts per-category tp/fp/fn into a
     categories x 3 array, and the folds' arrays are summed before
     precision/recall/F. n_folds = 1 is a diagnostic mode that trains and
-    tests on the full corpus. Folds run in a thread pool when threads > 1;
+    tests on the full corpus. A fold with no document is an ExperimentError
+    before any fold runs. Folds run in a thread pool when threads > 1;
     results reduce in fold order, so the report is identical for any
     thread count.
     """
@@ -181,6 +182,9 @@ def run_experiment(
         plan = make_folds(dict(zip(counts.doc_ids, counts.labels)),
                           n_folds, config.seed)
         fold_of = np.array([plan[doc_id] for doc_id in counts.doc_ids])
+    empty = np.flatnonzero(np.bincount(fold_of, minlength=n_folds) == 0)
+    if empty.size:
+        raise ExperimentError(f"fold {empty[0]}: a fold came out empty")
     category_of = {cat: i for i, cat in enumerate(categories)}
     actual_of = np.array([category_of[lab] for lab in counts.labels])
 
@@ -197,8 +201,6 @@ def run_experiment(
         try:
             test = np.flatnonzero(fold_of == fold)
             train = test if n_folds == 1 else np.flatnonzero(fold_of != fold)
-            if not (train.size and test.size):
-                raise OntoclassError("a fold came out empty")
             train_counts, test_counts = rows(train), rows(test)
             recorder = None
             if fit_recorder is not None:

@@ -128,12 +128,11 @@ def enrich_hyperonyms(
     """
     if variant not in HYPERONYM_VARIANTS:
         raise OntoclassError(f"unknown hyperonym variant {variant!r}")
-    for cid in concepts.counts:
-        if cid not in ontology.concepts:
-            raise OntologyError(f"unknown concept id {cid!r}")
     from_children: dict[str, int] = {}
     for cid, n in concepts.counts.items():
-        for parent in ontology.concepts[cid].parent_ids:
+        if cid not in ontology.parents:
+            raise OntologyError(f"unknown concept id {cid!r}")
+        for parent in ontology.parents[cid]:
             from_children[parent] = from_children.get(parent, 0) + n
     if variant == "hyponyms-only":
         merged = from_children
@@ -165,8 +164,8 @@ def map_document(
 
     if config.use_mesh_annotations:
         for term in mesh_terms:
-            candidates = ontology.lookup_concepts(
-                phrase_key(term, ontology.stopwords)
+            candidates = ontology.phrase_index.get(
+                phrase_key(term, ontology.stopwords), ()
             )
             for cid in _senses(candidates, config.disambiguation):
                 counts[cid] = counts.get(cid, 0) + 1

@@ -1,5 +1,5 @@
-"""Thesaurus model: concepts with preferred names, synonym entry terms and
-a tree-number hierarchy, plus a stemmed phrase index for concept lookup.
+"""Thesaurus model: each concept's direct parents, taken from its tree
+numbers, plus a stemmed phrase index over its names and entry terms.
 
 Two loaders are provided, one for a portable tab-separated interchange
 format and one for the NLM ASCII descriptor format. Both feed the same
@@ -34,66 +34,51 @@ _NO_TREE = "~"
 
 
 @dataclass(frozen=True)
-class Concept:
-    """A thesaurus descriptor."""
-
-    concept_id: str
-    preferred_name: str
-    entry_terms: tuple[str, ...]
-    tree_numbers: tuple[str, ...]
-    parent_ids: frozenset[str]
-    child_ids: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Ontology:
-    """Immutable concept store plus phrase index.
+    """Immutable concept hierarchy plus phrase index.
 
-    `phrase_index` maps a stemmed-phrase key to the ordered candidate
-    concept list (most canonical sense first); every query is read-only.
-    `stopwords` is the stoplist the keys were built with, so any other
-    phrase is keyed the same way. `phrase_widths` maps each key's first
-    stem to the key widths, in stems, that start with it, longest first;
-    a stem that starts no key is absent.
+    `parents` maps every concept id to the ids of its direct parents, an
+    empty set for a root. `phrase_index` maps a stemmed-phrase key to the
+    ordered candidate concept list (most canonical sense first); every
+    query is read-only. `stopwords` is the stoplist the keys were built
+    with, so any other phrase is keyed the same way. `phrase_widths` maps
+    each key's first stem to the key widths, in stems, that start with it,
+    longest first; a stem that starts no key is absent.
     """
 
-    concepts: dict[str, Concept]
+    parents: dict[str, frozenset[str]]
     phrase_index: dict[str, tuple[str, ...]]
     stopwords: frozenset[str]
     phrase_widths: dict[str, tuple[int, ...]]
 
     def __len__(self) -> int:
-        return len(self.concepts)
-
-    def lookup_concepts(self, stemmed_phrase: str) -> tuple[str, ...]:
-        """Return the ordered candidate concepts for a stemmed phrase key."""
-        return self.phrase_index.get(stemmed_phrase, ())
+        return len(self.parents)
 
     def roots(self) -> tuple[str, ...]:
         """Concepts with no parents, in id order."""
-        return tuple(
-            sorted(cid for cid, c in self.concepts.items() if not c.parent_ids)
-        )
+        return tuple(sorted(cid for cid, ps in self.parents.items() if not ps))
 
     def depth(self) -> int:
         """Number of concepts on the longest root-to-leaf path."""
-        if not self.concepts:
-            return 0
-        in_deg = {cid: len(c.parent_ids) for cid, c in self.concepts.items()}
-        depth = {cid: 1 for cid in self.concepts}
+        children: dict[str, list[str]] = {cid: [] for cid in self.parents}
+        for cid, ps in self.parents.items():
+            for parent in ps:
+                children[parent].append(cid)
+        in_deg = {cid: len(ps) for cid, ps in self.parents.items()}
+        depth = dict.fromkeys(self.parents, 1)
         queue = [cid for cid, d in in_deg.items() if d == 0]
         seen = 0
         while queue:
             cid = queue.pop()
             seen += 1
-            for child in self.concepts[cid].child_ids:
+            for child in children[cid]:
                 depth[child] = max(depth[child], depth[cid] + 1)
                 in_deg[child] -= 1
                 if in_deg[child] == 0:
                     queue.append(child)
-        if seen != len(self.concepts):
+        if seen != len(self.parents):
             raise OntologyError("hierarchy contains a cycle")
-        return max(depth.values())
+        return max(depth.values(), default=0)
 
 
 def phrase_key(term: str, stopwords: frozenset[str]) -> str:
@@ -215,15 +200,13 @@ def build_ontology(
                 )
             tree_owner[tn] = concept_id
 
-    seen_ids: set[str] = set()
-    parents: dict[str, set[str]] = {}
-    children: dict[str, set[str]] = {}
+    parents: dict[str, frozenset[str]] = {}
+    first_tree: dict[str, str] = {}  # ranks a key's senses
     for concept_id, _, trees, _ in rows:
-        if concept_id in seen_ids:
+        if concept_id in parents:
             raise OntologyError(f"duplicate concept id {concept_id!r}")
-        seen_ids.add(concept_id)
-        parents.setdefault(concept_id, set())
-        children.setdefault(concept_id, set())
+        first_tree[concept_id] = min(trees, default=_NO_TREE)
+        owners = set()
         for tn in trees:
             if "." not in tn:
                 continue
@@ -235,24 +218,14 @@ def build_ontology(
                     "treating %s as a root there", tn, parent_tn, concept_id,
                 )
                 continue
-            parents[concept_id].add(owner)
-            children.setdefault(owner, set()).add(concept_id)
+            owners.add(owner)
+        parents[concept_id] = frozenset(owners)
 
     # index construction: exact keys first, then unambiguous truncations
     exact: dict[str, dict[str, bool]] = {}
     truncated: dict[str, dict[str, bool]] = {}
-    concepts: dict[str, Concept] = {}
-    for concept_id, preferred, trees, entries in rows:
-        entry_terms = list(dict.fromkeys([preferred, *entries]))
-        concepts[concept_id] = Concept(
-            concept_id=concept_id,
-            preferred_name=preferred,
-            entry_terms=tuple(entry_terms),
-            tree_numbers=tuple(sorted(set(trees))),
-            parent_ids=frozenset(parents[concept_id]),
-            child_ids=frozenset(children[concept_id]),
-        )
-        for term in entry_terms:
+    for concept_id, preferred, _, entries in rows:
+        for term in dict.fromkeys([preferred, *entries]):
             key = phrase_key(term, stopwords)
             if not key:
                 log.debug("entry term %r of %s normalizes to nothing", term,
@@ -284,12 +257,7 @@ def build_ontology(
 
     def order_key(key: str):
         def rank(cid: str) -> tuple:
-            c = concepts[cid]
-            return (
-                0 if exact[key][cid] else 1,
-                min(c.tree_numbers, default=_NO_TREE),
-                cid,
-            )
+            return (0 if exact[key][cid] else 1, first_tree[cid], cid)
         return rank
 
     # most keys name one concept, and one candidate needs no ranking
@@ -305,14 +273,14 @@ def build_ontology(
         masks[first] = masks.get(first, 0) | 1 << key.count(" ")
     phrase_widths = {first: _WIDTHS[mask] for first, mask in masks.items()}
 
-    onto = Ontology(concepts=concepts, phrase_index=phrase_index,
+    onto = Ontology(parents=parents, phrase_index=phrase_index,
                     stopwords=stopwords, phrase_widths=phrase_widths)
     onto.depth()  # raises on a hierarchy cycle
     if log.isEnabledFor(logging.INFO):
         log.info(
             "ontology: %d concepts, %d index keys, %d with more than one "
             "sense, %d ambiguous truncations dropped",
-            len(concepts), len(phrase_index),
+            len(parents), len(phrase_index),
             sum(len(cids) > 1 for cids in phrase_index.values()), dropped,
         )
     return onto

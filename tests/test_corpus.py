@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given
@@ -87,7 +88,6 @@ class TestParseOhsumed:
         assert doc.title == "Septic shock management"
         assert "intensive care" in doc.abstract
         assert doc.mesh_annotations == ("Shock, Septic", "Critical Care.")
-        assert doc.authors == "Smith J."
         assert corpus.documents[1].doc_id == "87002"
 
     def test_continuation_lines_joined(self):
@@ -246,6 +246,16 @@ def test_jsonl_round_trip(tmp_path):
     save_corpus_jsonl(corpus, path)
     loaded = load_corpus_jsonl(path)
     assert loaded == corpus
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    assert sorted(record) == ["abstract", "doc_id", "labels", "mesh_annotations",
+                              "title"]
+
+
+def test_jsonl_ignores_the_keys_of_older_caches(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"doc_id": "1", "title": "t", "authors": "Smith J.", '
+                    '"source": "", "pub_type": ["x"]}\n', encoding="utf-8")
+    assert load_corpus_jsonl(path).documents == (Document(doc_id="1", title="t"),)
 
 
 class TestJsonlMalformed:
@@ -273,7 +283,6 @@ class TestJsonlMalformed:
              "mesh_annotations is not a list of strings"),
             ('{"doc_id": "1", "title": 7}', "title is not a string"),
             ('{"doc_id": "1", "abstract": null}', "abstract is not a string"),
-            ('{"doc_id": "1", "pub_type": ["x"]}', "pub_type is not a string"),
             ('{"_meta": {"categories": "AB"}}', "categories is not a list of strings"),
         ],
     )

@@ -171,9 +171,13 @@ class TestRunExperiment:
     def test_a_fold_with_no_test_document_is_an_error(self):
         # two documents per category deal into folds 0 and 1 only
         corpus = separable_corpus(docs_per_cat=2)
+        fitted = []
         with pytest.raises(ExperimentError,
                            match=r"^fold 2: a fold came out empty$"):
-            run_experiment(corpus, None, stems_config(n_folds=3))
+            run_experiment(corpus, None, stems_config(n_folds=3),
+                           fit_recorder=lambda fold, doc: fitted.append(doc))
+        # caught before folds 0 and 1 fit anything
+        assert fitted == []
 
     def test_deterministic_and_thread_invariant(self):
         corpus = separable_corpus()

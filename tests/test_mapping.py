@@ -132,7 +132,7 @@ def match_phrases_reference(term_vector, ontology, disamb="AllConcepts"):
     i, n = 0, len(stems)
     while i < n:
         for width in range(min(MAX_PHRASE_LEN, n - i), 0, -1):
-            candidates = ontology.lookup_concepts(" ".join(stems[i : i + width]))
+            candidates = ontology.phrase_index.get(" ".join(stems[i : i + width]), ())
             if candidates:
                 senses = candidates if disamb == "AllConcepts" else candidates[:1]
                 for cid in senses:

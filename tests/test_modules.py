@@ -119,18 +119,39 @@ def names_read(node: ast.AST, skip: list[str]) -> set[str]:
     return found - set(skip)
 
 
+def is_dataclass(stmt: ast.ClassDef) -> bool:
+    """Whether a class is decorated `@dataclass` or `@dataclass(...)`."""
+    for node in stmt.decorator_list:
+        node = node.func if isinstance(node, ast.Call) else node
+        if getattr(node, "id", getattr(node, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Every attribute that some `x.name` expression under `tree` loads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unused_public_names(modules: list[Path], readers: list[Path] = ()) -> list[str]:
     """Public module-level functions, classes and constants, and public
     methods and properties, that no other place in `modules` names. A
     definition naming itself does not count, and neither does a package
     `__init__.py`, which only re-exports. An attribute read in one of
-    `readers`, code outside the package, counts as a use too."""
+    `readers`, code outside the package, counts as a use too. A public
+    dataclass field counts as used only where some `x.field` reads it;
+    its declaration and keyword construction do not."""
     defined: list[tuple[str, str]] = []
+    fields: list[tuple[str, str]] = []
     used: set[str] = set()
+    read: set[str] = set()
     for path in modules:
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= attributes_read(tree)
+        for stmt in tree.body:
             owners = defined_names(stmt)
             defined += [(owner, f"{path.name}:{stmt.lineno} {owner}")
                         for owner in owners if not owner.startswith("_")]
@@ -145,13 +166,19 @@ def unused_public_names(modules: list[Path], readers: list[Path] = ()) -> list[s
                         defined.append((item.name, f"{path.name}:{item.lineno} "
                                                    f"{stmt.name}.{item.name}"))
                     used |= names_read(item, owners + [item.name])
-                else:
-                    used |= names_read(item, owners)
+                    continue
+                used |= names_read(item, owners)
+                if (is_dataclass(stmt) and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    fields.append((item.target.id, f"{path.name}:{item.lineno} "
+                                                   f"{stmt.name}.{item.target.id}"))
     for path in readers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(where for name, where in defined if name not in used)
+        outside = attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+        used |= outside
+        read |= outside
+    return sorted([where for name, where in defined if name not in used]
+                  + [where for name, where in fields if name not in read])
 
 
 def test_every_public_name_is_used_by_the_package():
@@ -229,6 +256,47 @@ def test_unused_checker_sees_methods_and_reads_outside_the_package(tmp_path):
     assert unused_public_names(modules, [reader]) == ["a.py:3 Tree.size"]
     assert unused_public_names(modules) == ["a.py:10 Tree.shown",
                                             "a.py:3 Tree.size"]
+
+
+def test_unused_checker_sees_dataclass_fields_never_read(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Doc:\n"
+        "    doc_id: str\n"
+        "    title: str = ''\n"
+        "    authors: str = ''\n"
+        "    source: str = ''\n"
+        "    _cache: str = ''\n"
+        "    def shown(self):\n"
+        "        return self.doc_id\n"
+        "@dataclass\n"
+        "class Span:\n"
+        "    start: int\n"
+        "    end: int\n"
+        "class Plain:\n"
+        "    size: int\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text(
+        "from .a import Doc, Plain, Span\n"
+        "def _make():\n"
+        "    doc = Doc(doc_id='1', authors='x')\n"
+        "    return doc.shown(), Span(1, 2).end, Plain\n",
+        encoding="utf-8",
+    )
+    reader = tmp_path / "bench.py"
+    reader.write_text("title = 1\nprint(doc.source)\n", encoding="utf-8")
+    modules = sorted(package.glob("*.py"))
+    assert unused_public_names(modules, [reader]) == [
+        "a.py:13 Span.start", "a.py:5 Doc.title", "a.py:6 Doc.authors",
+    ]
+    assert unused_public_names(modules) == [
+        "a.py:13 Span.start", "a.py:5 Doc.title", "a.py:6 Doc.authors",
+        "a.py:7 Doc.source",
+    ]
 
 
 def reexported_names(init: Path) -> list[str]:

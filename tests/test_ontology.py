@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 
@@ -42,6 +44,10 @@ UI = D003
 """
 
 
+def children_of(onto, cid):
+    return {child for child, parents in onto.parents.items() if cid in parents}
+
+
 @pytest.fixture
 def chain(tmp_path):
     f = tmp_path / "onto.tsv"
@@ -52,27 +58,27 @@ def chain(tmp_path):
 class TestLoaders:
     def test_chain_hierarchy(self, chain):
         assert len(chain) == 3
-        assert chain.concepts["D001"].child_ids == {"D002"}
-        assert chain.concepts["D002"].child_ids == {"D003"}
-        assert chain.concepts["D003"].child_ids == frozenset()
+        assert chain.parents == {"D001": frozenset(), "D002": {"D001"},
+                                 "D003": {"D002"}}
         assert chain.roots() == ("D001",)
         assert chain.depth() == 3
 
     def test_parent_child_duality(self, chain):
-        for cid, concept in chain.concepts.items():
-            for p in concept.parent_ids:
-                assert cid in chain.concepts[p].child_ids
-            for c in concept.child_ids:
-                assert cid in chain.concepts[c].parent_ids
+        # every parent is a concept, and each child hangs under its parent
+        for cid, parents in chain.parents.items():
+            for p in parents:
+                assert p in chain.parents
+                assert cid in children_of(chain, p)
 
     def test_preferred_name_included_in_entry_terms(self, chain):
-        assert chain.concepts["D003"].entry_terms[0] == "Appendicitis"
+        key = phrase_key("Appendicitis", load_stoplist())
+        assert chain.phrase_index.get(key, ()) == ("D003",)
 
     def test_mesh_ascii_equivalent(self, tmp_path, chain):
         f = tmp_path / "mesh.txt"
         f.write_text(CHAIN_MESH)
         onto = import_mesh_ascii(f)
-        assert onto.concepts == chain.concepts
+        assert onto.parents == chain.parents
         assert onto.phrase_index == chain.phrase_index
 
     def test_mesh_record_missing_ui_skipped(self, tmp_path, caplog):
@@ -80,7 +86,7 @@ class TestLoaders:
         f.write_text("*NEWRECORD\nMH = Orphan\n\n*NEWRECORD\nMH = Kept\nUI = D9\n")
         with caplog.at_level("WARNING"):
             onto = import_mesh_ascii(f)
-        assert list(onto.concepts) == ["D9"]
+        assert list(onto.parents) == ["D9"]
         assert "skipped" in caplog.text
 
     def test_mesh_no_valid_records(self, tmp_path):
@@ -144,19 +150,20 @@ class TestLoaders:
 class TestPhraseIndex:
     def test_keys_are_stemmed(self, chain):
         # "Appendicitis" strips to "append"; "Appendiceal" keeps its -al stem
-        assert chain.lookup_concepts("append") == ("D003",)
-        assert chain.lookup_concepts("appendic") == ("D003",)
-        assert chain.lookup_concepts("appendic inflamm") == ("D003",)
+        assert chain.phrase_index.get("append", ()) == ("D003",)
+        assert chain.phrase_index.get("appendic", ()) == ("D003",)
+        assert chain.phrase_index.get("appendic inflamm", ()) == ("D003",)
 
     def test_unknown_key_empty(self, chain):
-        assert chain.lookup_concepts("zzz") == ()
+        assert chain.phrase_index.get("zzz", ()) == ()
 
     def test_round_trip_every_entry_term(self, chain):
         stop = load_stoplist()
-        for cid, concept in chain.concepts.items():
-            for term in concept.entry_terms:
+        for line in CHAIN_TSV.splitlines()[1:]:
+            cid, preferred, _, entries = line.split("\t")
+            for term in [preferred, *entries.split("|")]:
                 key = phrase_key(term, stop)
-                assert cid in chain.lookup_concepts(key)
+                assert cid in chain.phrase_index.get(key, ())
 
     def test_phrase_widths_list_each_first_stem_longest_first(self, chain):
         # "append" and "appendic" start one-stem keys; "appendic" also
@@ -186,7 +193,7 @@ class TestPhraseIndex:
             ("D_CC", "Cold", ["C02"], []),
         ]
         onto = build_ontology(rows)
-        assert onto.lookup_concepts("cold") == ("D_CC", "D_CT")
+        assert onto.phrase_index.get("cold", ()) == ("D_CC", "D_CT")
 
     def test_tie_broken_by_tree_number_then_id(self):
         rows = [
@@ -195,21 +202,21 @@ class TestPhraseIndex:
         ]
         onto = build_ontology(rows)
         # preferred-name match (D_B) outranks the synonym match (D_A)
-        assert onto.lookup_concepts("fever") == ("D_B", "D_A")
+        assert onto.phrase_index.get("fever", ()) == ("D_B", "D_A")
         rows = [
             ("D_B", "Grippe", ["C23"], []),
             ("D_A", "Grippe", ["C11"], []),
         ]
         onto = build_ontology(rows)
         # both preferred: smaller tree number wins
-        assert onto.lookup_concepts("gripp") == ("D_A", "D_B")
+        assert onto.phrase_index.get("gripp", ()) == ("D_A", "D_B")
 
 
 class TestTruncation:
     def test_long_phrase_truncated_when_unambiguous(self):
         rows = [("D1", "Systemic inflammatory response syndrome shock", [], [])]
         onto = build_ontology(rows)
-        assert onto.lookup_concepts("system inflammatori respons") == ("D1",)
+        assert onto.phrase_index.get("system inflammatori respons", ()) == ("D1",)
 
     def test_ambiguous_truncations_dropped(self, caplog):
         rows = [
@@ -218,7 +225,7 @@ class TestTruncation:
         ]
         with caplog.at_level("WARNING"):
             onto = build_ontology(rows)
-        assert onto.lookup_concepts("acut bacteri meningiti") == ()
+        assert onto.phrase_index.get("acut bacteri meningiti", ()) == ()
         assert "ambiguous" in caplog.text
 
     def test_truncation_colliding_with_exact_phrase_dropped(self, caplog):
@@ -229,7 +236,7 @@ class TestTruncation:
         with caplog.at_level("WARNING"):
             onto = build_ontology(rows)
         # the exact 3-token phrase keeps its concept; the truncation loses
-        assert onto.lookup_concepts("chronic renal failur") == ("D1",)
+        assert onto.phrase_index.get("chronic renal failur", ()) == ("D1",)
 
     def test_same_concept_collision_is_fine(self):
         rows = [
@@ -237,14 +244,14 @@ class TestTruncation:
              [], ["Chronic renal failure progression markers"]),
         ]
         onto = build_ontology(rows)
-        assert onto.lookup_concepts("chronic renal failur") == ("D1",)
+        assert onto.phrase_index.get("chronic renal failur", ()) == ("D1",)
 
 
 def test_acyclicity_by_traversal(chain):
     # depth-first from every root, no node revisited on the current path
     def visit(cid, path):
         assert cid not in path
-        for child in chain.concepts[cid].child_ids:
+        for child in children_of(chain, cid):
             visit(child, path | {cid})
 
     for root in chain.roots():
@@ -259,7 +266,54 @@ def test_two_tree_positions_union_children():
         ("D_C3", "Child both", ["A.2", "B.2"], []),
     ]
     onto = build_ontology(rows)
-    assert onto.concepts["D_P"].child_ids == {"D_C1", "D_C2", "D_C3"}
+    assert children_of(onto, "D_P") == {"D_C1", "D_C2", "D_C3"}
+
+
+def generated_rows(n, seed=5):
+    """A thesaurus of `n` concepts: 30 roots, each other concept under a
+    random earlier tree position, every seventh under two; names and
+    zero to two synonyms of one to four made-up words."""
+    rng = random.Random(seed)
+    syllables = ["ka", "lo", "mi", "ner", "tus", "pha", "gen", "ost", "rid",
+                 "vel", "cor", "dia"]
+
+    def phrase():
+        return " ".join(
+            "".join(rng.choice(syllables) for _ in range(rng.randint(2, 4)))
+            for _ in range(rng.randint(1, 4))
+        )
+
+    rows, trees = [], []
+    for i in range(n):
+        if i < 30:
+            own = [f"C{i:02d}"]
+        else:
+            own = [f"{rng.choice(trees)}.{i:04d}"]
+            if i % 7 == 0:
+                own.append(f"{rng.choice(trees)}.{i:04d}x")
+        trees += own
+        rows.append((f"D{i:05d}", phrase(), own,
+                     [phrase() for _ in range(rng.randint(0, 2))]))
+    return rows
+
+
+class TestBuildOntologyBoundedMemory:
+    def test_memory_held_per_concept(self):
+        # 4,000 concepts on CPython 3.11: the parent table and the phrase
+        # index hold about 750 B per concept; a frozen record per concept
+        # (id, name, entry terms, tree numbers, parent and child sets)
+        # on top of them held about 1,210 B
+        n = 4000
+        rows, stopwords = generated_rows(n), load_stoplist()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            onto = build_ontology(rows, stopwords=stopwords)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(onto) == n and len(onto.roots()) == 30 and onto.depth() > 5
+        assert held < 1000 * n, f"{held} bytes held for {n} concepts"
 
 
 # Keys with two and three senses, ranked by preferred name, then tree
@@ -348,8 +402,8 @@ class TestPhraseIndexPinned:
         f = tmp_path / "mesh.txt"
         f.write_text(SENSES_MESH)
         onto = import_mesh_ascii(f)
-        assert onto.lookup_concepts("cold") == ("D010", "D012", "D011")
-        assert onto.lookup_concepts("influenza") == ("D020", "D031", "D032")
+        assert onto.phrase_index.get("cold", ()) == ("D010", "D012", "D011")
+        assert onto.phrase_index.get("influenza", ()) == ("D020", "D031", "D032")
         assert hashlib.sha256(
             repr(list(onto.phrase_index.items())).encode("utf-8")
         ).hexdigest() == "0a13c6b93f658dde9f3638a403148b59e421239d21fcbc9c0add24b7861d7e84"
