@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OntologyError, ParseError, open_utf8
 from .porter import stem
@@ -27,6 +29,9 @@ _WIDTHS = {
     mask: tuple(w for w in range(MAX_PHRASE_LEN, 0, -1) if mask >> (w - 1) & 1)
     for mask in range(1 << MAX_PHRASE_LEN)
 }
+
+#: One thesaurus row: concept id, preferred name, tree numbers, entry terms.
+Row = tuple[str, str, Sequence[str], Sequence[str]]
 
 #: Sorts after every real tree number, so concepts without tree numbers
 #: order last among equals.
@@ -99,7 +104,10 @@ def load_ontology(
     numbers, '|'-separated extra entry terms. The last two fields may be
     empty. '#' starts a comment line.
     """
-    rows: list[tuple[str, str, list[str], list[str]]] = []
+    return build_ontology(_tsv_rows(path), stopwords)
+
+
+def _tsv_rows(path: str | Path) -> Iterator[Row]:
     with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -118,8 +126,7 @@ def load_ontology(
             trees = [t for t in trees if t]
             entries = [e.strip() for e in parts[3].split("|")] if len(parts) > 3 else []
             entries = [e for e in entries if e]
-            rows.append((concept_id, preferred, trees, entries))
-    return build_ontology(rows, stopwords)
+            yield concept_id, preferred, trees, entries
 
 
 def import_mesh_ascii(
@@ -132,32 +139,32 @@ def import_mesh_ascii(
     keep their first '|'-delimited field. Records missing MH or UI are
     skipped with a warning.
     """
-    rows: list[tuple[str, str, list[str], list[str]]] = []
-    skipped = 0
+    return build_ontology(_mesh_rows(path), stopwords)
 
+
+def _mesh_rows(path: str | Path) -> Iterator[Row]:
+    kept = skipped = 0
     record: dict[str, list[str]] = {}
-
-    def flush():
-        nonlocal skipped
-        if not record:
-            return
-        name = record.get("MH", [""])[0]
-        uid = record.get("UI", [""])[0]
-        if not name or not uid:
-            log.warning("descriptor record missing MH or UI; skipped")
-            skipped += 1
-            record.clear()
-            return
-        entries = [v.split("|", 1)[0].strip() for v in record.get("ENTRY", [])]
-        entries += [v.split("|", 1)[0].strip() for v in record.get("PRINT ENTRY", [])]
-        rows.append((uid, name, record.get("MN", []), [e for e in entries if e]))
-        record.clear()
-
     with open_utf8(path) as fh:
-        for raw in fh:
+        # one more record mark after the file ends the last record
+        for raw in chain(fh, ["*NEWRECORD"]):
             line = raw.strip()
             if line == "*NEWRECORD":
-                flush()
+                if not record:
+                    continue
+                name = record.get("MH", [""])[0]
+                uid = record.get("UI", [""])[0]
+                if name and uid:
+                    entries = [
+                        v.split("|", 1)[0].strip()
+                        for v in record.get("ENTRY", []) + record.get("PRINT ENTRY", [])
+                    ]
+                    kept += 1
+                    yield uid, name, record.get("MN", []), [e for e in entries if e]
+                else:
+                    log.warning("descriptor record missing MH or UI; skipped")
+                    skipped += 1
+                record = {}
                 continue
             if not line or "=" not in line:
                 continue
@@ -166,46 +173,90 @@ def import_mesh_ascii(
             value = value.strip()
             if key in {"MH", "UI", "MN", "ENTRY", "PRINT ENTRY"} and value:
                 record.setdefault(key, []).append(value)
-    flush()
-
-    if not rows and skipped:
+    if skipped and not kept:
         raise OntologyError("no valid descriptor records")
-    return build_ontology(rows, stopwords)
 
 
 def build_ontology(
-    rows: list[tuple[str, str, list[str], list[str]]],
-    stopwords: frozenset[str] | None = None,
+    rows: Iterable[Row], stopwords: frozenset[str] | None = None
 ) -> Ontology:
     """Assemble an Ontology from (id, preferred, trees, entries) rows.
 
-    Hierarchy comes from tree numbers: the parent of C01.539.100 is the
-    concept owning C01.539; a tree number whose parent path is owned by no
-    concept makes that position a root (with a warning). Entry terms
-    longer than MAX_PHRASE_LEN stemmed tokens are indexed under their
-    leading tokens only when that truncated key identifies the concept
-    uniquely; otherwise they are dropped.
+    `rows` may be any iterable; it is read once, and each row is indexed
+    as it is read. Hierarchy comes from tree numbers: the parent of
+    C01.539.100 is the concept owning C01.539; a tree number whose parent
+    path is owned by no concept makes that position a root (with a
+    warning). Concepts with the same parents share one parent set. Entry
+    terms longer than MAX_PHRASE_LEN stemmed tokens are indexed under
+    their leading tokens only when that truncated key identifies the
+    concept uniquely; otherwise they are dropped.
+
+    Errors in the rows are raised once they are all read: the first tree
+    number owned twice, else the first repeated concept id, else "no
+    concepts" for no rows. An error raised while reading `rows` comes
+    before all of them.
     """
-    if not rows:
-        raise OntologyError("no concepts")
     if stopwords is None:
         stopwords = load_stoplist()
 
+    trees_of: dict[str, Sequence[str]] = {}  # concept id -> tree numbers, row order
     tree_owner: dict[str, str] = {}
-    for concept_id, _, trees, _ in rows:
+    pref_key: dict[str, str] = {}  # concept id -> its preferred name's key
+    # key -> concept ids, first seen first; exact keys, then long terms'
+    # truncated keys, kept apart until every exact key is known
+    exact: dict[str, tuple[str, ...]] = {}
+    truncated: dict[str, tuple[str, ...]] = {}
+    tree_error = id_error = ""
+    for concept_id, preferred, trees, entries in rows:
         for tn in trees:
-            if tn in tree_owner:
-                raise OntologyError(
+            if tn not in tree_owner:
+                tree_owner[tn] = concept_id
+            elif not tree_error:
+                tree_error = (
                     f"tree number {tn} owned by both {tree_owner[tn]} and {concept_id}"
                 )
-            tree_owner[tn] = concept_id
+        if concept_id in trees_of and not id_error:
+            id_error = f"duplicate concept id {concept_id!r}"
+        trees_of[concept_id] = trees
+        for term in dict.fromkeys([preferred, *entries]):
+            key = phrase_key(term, stopwords)
+            if term == preferred:
+                pref_key[concept_id] = key
+            if not key:
+                log.debug("entry term %r of %s normalizes to nothing", term,
+                          concept_id)
+                continue
+            slot = exact
+            if key.count(" ") >= MAX_PHRASE_LEN:
+                key = " ".join(key.split(" ", MAX_PHRASE_LEN)[:MAX_PHRASE_LEN])
+                slot = truncated
+            cids = slot.get(key)
+            if cids is None:
+                slot[key] = (concept_id,)
+            elif cids[-1] != concept_id:  # a concept's terms come together
+                slot[key] = (*cids, concept_id)
+    if tree_error:
+        raise OntologyError(tree_error)
+    if id_error:
+        raise OntologyError(id_error)
+    if not trees_of:
+        raise OntologyError("no concepts")
 
-    parents: dict[str, frozenset[str]] = {}
-    first_tree: dict[str, str] = {}  # ranks a key's senses
-    for concept_id, _, trees, _ in rows:
-        if concept_id in parents:
-            raise OntologyError(f"duplicate concept id {concept_id!r}")
-        first_tree[concept_id] = min(trees, default=_NO_TREE)
+    # a key with more than one sense never takes a truncated key, so a
+    # sense ranks first when its preferred name has exactly this key,
+    # then by its smallest tree number, then by id
+    for key, cids in exact.items():
+        if len(cids) > 1:
+            exact[key] = tuple(sorted(cids, key=lambda cid: (
+                pref_key[cid] != key, min(trees_of[cid], default=_NO_TREE), cid,
+            )))
+    del pref_key
+
+    # each concept's tree numbers give way to its parents, in place;
+    # concepts with the same parents share one set
+    parents: dict[str, frozenset[str]] = trees_of  # type: ignore[assignment]
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    for concept_id, trees in trees_of.items():
         owners = set()
         for tn in trees:
             if "." not in tn:
@@ -219,35 +270,15 @@ def build_ontology(
                 )
                 continue
             owners.add(owner)
-        parents[concept_id] = frozenset(owners)
-
-    # index construction: exact keys first, then unambiguous truncations
-    exact: dict[str, dict[str, bool]] = {}
-    truncated: dict[str, dict[str, bool]] = {}
-    for concept_id, preferred, _, entries in rows:
-        for term in dict.fromkeys([preferred, *entries]):
-            key = phrase_key(term, stopwords)
-            if not key:
-                log.debug("entry term %r of %s normalizes to nothing", term,
-                          concept_id)
-                continue
-            tokens = key.split(" ")
-            is_pref = term == preferred
-            if len(tokens) <= MAX_PHRASE_LEN:
-                slot = exact.setdefault(key, {})
-                slot[concept_id] = slot.get(concept_id, False) or is_pref
-            else:
-                key = " ".join(tokens[:MAX_PHRASE_LEN])
-                slot = truncated.setdefault(key, {})
-                slot[concept_id] = slot.get(concept_id, False) or is_pref
+        ps = frozenset(owners)
+        parents[concept_id] = shared.setdefault(ps, ps)
+    del tree_owner, shared
 
     dropped = 0
-    for key, candidates in truncated.items():
-        owners = set(candidates) | set(exact.get(key, {}))
+    for key, cids in truncated.items():
+        owners = set(cids).union(exact.get(key, ()))
         if len(owners) == 1:
-            slot = exact.setdefault(key, {})
-            for cid, is_pref in candidates.items():
-                slot[cid] = slot.get(cid, False) or is_pref
+            exact.setdefault(key, cids)
         else:
             dropped += 1
             log.warning(
@@ -255,32 +286,20 @@ def build_ontology(
                 key, sorted(owners),
             )
 
-    def order_key(key: str):
-        def rank(cid: str) -> tuple:
-            return (0 if exact[key][cid] else 1, first_tree[cid], cid)
-        return rank
-
-    # most keys name one concept, and one candidate needs no ranking
-    phrase_index = {
-        key: tuple(cids) if len(cids) == 1
-        else tuple(sorted(cids, key=order_key(key)))
-        for key, cids in exact.items()
-    }
-
     masks: dict[str, int] = {}
-    for key in phrase_index:
+    for key in exact:
         first = key.partition(" ")[0]
         masks[first] = masks.get(first, 0) | 1 << key.count(" ")
     phrase_widths = {first: _WIDTHS[mask] for first, mask in masks.items()}
 
-    onto = Ontology(parents=parents, phrase_index=phrase_index,
+    onto = Ontology(parents=parents, phrase_index=exact,
                     stopwords=stopwords, phrase_widths=phrase_widths)
     onto.depth()  # raises on a hierarchy cycle
     if log.isEnabledFor(logging.INFO):
         log.info(
             "ontology: %d concepts, %d index keys, %d with more than one "
             "sense, %d ambiguous truncations dropped",
-            len(parents), len(phrase_index),
-            sum(len(cids) > 1 for cids in phrase_index.values()), dropped,
+            len(parents), len(exact),
+            sum(len(cids) > 1 for cids in exact.values()), dropped,
         )
     return onto

@@ -1,12 +1,19 @@
 import hashlib
+import logging
 import random
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthcorpus
 from ontoclass.errors import OntologyError, ParseError
 from ontoclass.ontology import (
+    MAX_PHRASE_LEN,
+    Ontology,
     build_ontology,
     import_mesh_ascii,
     load_ontology,
@@ -89,11 +96,13 @@ class TestLoaders:
         assert list(onto.parents) == ["D9"]
         assert "skipped" in caplog.text
 
-    def test_mesh_no_valid_records(self, tmp_path):
+    def test_mesh_no_valid_records(self, tmp_path, caplog):
         f = tmp_path / "mesh.txt"
-        f.write_text("*NEWRECORD\nMH = Orphan\n")
-        with pytest.raises(OntologyError):
+        f.write_text("*NEWRECORD\nMH = Orphan\n\n*NEWRECORD\nUI = D2\nMN = A\n")
+        with caplog.at_level("WARNING"), pytest.raises(OntologyError) as exc:
             import_mesh_ascii(f)
+        assert str(exc.value) == "no valid descriptor records"
+        assert caplog.text.count("missing MH or UI") == 2
 
     def test_empty_file_errors(self, tmp_path):
         f = tmp_path / "empty.tsv"
@@ -247,6 +256,215 @@ class TestTruncation:
         assert onto.phrase_index.get("chronic renal failur", ()) == ("D1",)
 
 
+log = logging.getLogger("ontoclass.ontology")
+
+
+def build_ontology_reference(rows, stopwords):
+    """The three-pass build: tree owners over a row list, then parents,
+    then a dict of preferred-name flags per index key, every key's senses
+    sorted."""
+    if not rows:
+        raise OntologyError("no concepts")
+
+    tree_owner = {}
+    for concept_id, _, trees, _ in rows:
+        for tn in trees:
+            if tn in tree_owner:
+                raise OntologyError(
+                    f"tree number {tn} owned by both {tree_owner[tn]} and {concept_id}"
+                )
+            tree_owner[tn] = concept_id
+
+    parents, first_tree = {}, {}
+    for concept_id, _, trees, _ in rows:
+        if concept_id in parents:
+            raise OntologyError(f"duplicate concept id {concept_id!r}")
+        first_tree[concept_id] = min(trees, default="~")
+        owners = set()
+        for tn in trees:
+            if "." not in tn:
+                continue
+            parent_tn = tn.rsplit(".", 1)[0]
+            owner = tree_owner.get(parent_tn)
+            if owner is None:
+                log.warning(
+                    "tree number %s has no parent concept for %s; "
+                    "treating %s as a root there", tn, parent_tn, concept_id,
+                )
+                continue
+            owners.add(owner)
+        parents[concept_id] = frozenset(owners)
+
+    exact, truncated = {}, {}
+    for concept_id, preferred, _, entries in rows:
+        for term in dict.fromkeys([preferred, *entries]):
+            key = phrase_key(term, stopwords)
+            if not key:
+                log.debug("entry term %r of %s normalizes to nothing", term,
+                          concept_id)
+                continue
+            tokens = key.split(" ")
+            is_pref = term == preferred
+            if len(tokens) <= MAX_PHRASE_LEN:
+                slot = exact.setdefault(key, {})
+            else:
+                key = " ".join(tokens[:MAX_PHRASE_LEN])
+                slot = truncated.setdefault(key, {})
+            slot[concept_id] = slot.get(concept_id, False) or is_pref
+
+    for key, candidates in truncated.items():
+        owners = set(candidates) | set(exact.get(key, {}))
+        if len(owners) == 1:
+            slot = exact.setdefault(key, {})
+            for cid, is_pref in candidates.items():
+                slot[cid] = slot.get(cid, False) or is_pref
+        else:
+            log.warning(
+                "long entry terms truncating to %r are ambiguous across %s; dropped",
+                key, sorted(owners),
+            )
+
+    phrase_index = {
+        key: tuple(sorted(
+            cids, key=lambda cid: (not cids[cid], first_tree[cid], cid)
+        ))
+        for key, cids in exact.items()
+    }
+    widths = {}
+    for key in phrase_index:
+        widths.setdefault(key.split(" ")[0], set()).add(key.count(" ") + 1)
+    phrase_widths = {
+        first: tuple(sorted(ws, reverse=True)) for first, ws in widths.items()
+    }
+    onto = Ontology(parents=parents, phrase_index=phrase_index,
+                    stopwords=stopwords, phrase_widths=phrase_widths)
+    onto.depth()
+    return onto
+
+
+@contextmanager
+def ontology_log():
+    """Every record the ontology module logs, DEBUG and up."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+def build_outcome(build, rows):
+    """What a build returns or raises, its warnings in order and its
+    debug records as a multiset."""
+    with ontology_log() as records:
+        try:
+            onto = build(rows, STOP)
+            result = (list(onto.parents.items()), list(onto.phrase_index.items()),
+                      list(onto.phrase_widths.items()))
+        except OntologyError as exc:
+            result = str(exc)
+    warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+    debug = Counter(r.getMessage() for r in records if r.levelno == logging.DEBUG)
+    return result, warnings, debug
+
+
+STOP = load_stoplist()
+# "colds" stems like "cold"; "the" and "of" are stopwords and "x" is too
+# short, so a term of them alone normalizes to nothing
+_WORDS = ("cold", "colds", "heart", "fever", "acute", "the", "of", "x")
+_terms = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join)
+# B.2.1 and C.3 have no parent position; owning A and B.1 while another
+# concept owns B and A.1 closes a cycle
+_TREES = ("A", "A.1", "A.1.1", "A.2", "B", "B.1", "B.2.1", "C.3")
+
+
+@st.composite
+def _thesauri(draw):
+    n = draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(n)))
+    owner = dict(zip(_TREES, draw(st.lists(
+        st.integers(-1, n - 1), min_size=len(_TREES), max_size=len(_TREES),
+    ))))
+    order = draw(st.permutations(_TREES))
+    return [
+        (f"D{num}", draw(_terms), [tn for tn in order if owner[tn] == i],
+         draw(st.lists(_terms, max_size=3)))
+        for i, num in enumerate(ids)
+    ]
+
+
+class TestBuildOntologyEquivalence:
+    @settings(deadline=None)
+    @given(rows=_thesauri())
+    # a unique truncation (D3), an ambiguous one (D1 and D2) and one that
+    # collides with an exact key (D0's against D4's); "cold" has three
+    # senses, two of them preferred, and D9 has no tree number
+    @example(rows=[
+        ("D3", "fever cold heart acute", ["B"], []),
+        ("D2", "heart heart heart cold", ["A.1"], ["cold"]),
+        ("D1", "colds", ["A"], ["heart heart heart fever"]),
+        ("D4", "acute acute acute", ["C.3"], ["the x"]),
+        ("D0", "acute acute acute acute", ["B.2.1"], ["of"]),
+        ("D9", "cold", [], ["colds"]),
+    ])
+    # each concept owns the other's parent position
+    @example(rows=[("D1", "cold", ["A", "B.1"], []),
+                   ("D0", "heart", ["B", "A.1"], [])])
+    def test_matches_three_pass_build(self, rows):
+        new = build_outcome(lambda rs, stop: build_ontology(iter(rs), stop), rows)
+        assert new == build_outcome(build_ontology_reference, rows)
+
+    @given(rows=_thesauri())
+    def test_siblings_share_one_parent_set(self, rows):
+        try:
+            onto = build_ontology(rows, STOP)
+        except OntologyError:  # a cycle
+            return
+        sets = list(onto.parents.values())
+        assert len({id(ps) for ps in sets}) == len(set(sets))
+
+
+class TestBuildOntologyErrors:
+    @pytest.mark.parametrize("rows, message", [
+        ([("D1", "One", ["C01", "C01"], [])],
+         "tree number C01 owned by both D1 and D1"),
+        ([("D1", "One", ["C01"], []), ("D1", "Two", ["C01"], [])],
+         "tree number C01 owned by both D1 and D1"),
+        # a repeated id before a tree number owned twice, and the reverse
+        ([("D1", "One", ["A"], []), ("D1", "Two", ["B"], []),
+          ("D2", "Three", ["A"], [])],
+         "tree number A owned by both D1 and D2"),
+        ([("D1", "One", ["A"], []), ("D2", "Two", ["A"], []),
+          ("D2", "Three", ["B"], [])],
+         "tree number A owned by both D1 and D2"),
+        # the first of two tree numbers owned twice
+        ([("D1", "One", ["A", "B"], []), ("D2", "Two", ["B"], []),
+          ("D3", "Three", ["A"], [])],
+         "tree number B owned by both D1 and D2"),
+        ([("D1", "One", [], []), ("D2", "Two", [], []), ("D2", "Three", [], []),
+          ("D1", "Four", [], [])],
+         "duplicate concept id 'D2'"),
+        ([], "no concepts"),
+    ])
+    def test_same_error_as_three_pass_build(self, rows, message):
+        for build in (build_ontology, build_ontology_reference):
+            with pytest.raises(OntologyError) as exc:
+                build(iter(rows) if build is build_ontology else rows, STOP)
+            assert str(exc.value) == message
+
+    def test_parse_error_wins_over_later_tree_error(self, tmp_path):
+        f = tmp_path / "onto.tsv"
+        f.write_text("D1\tOne\tA\nD2\tTwo\tA\nD3\tThree\tB\nD4\ta\tb\tc\td\n")
+        with pytest.raises(ParseError) as exc:
+            load_ontology(f)
+        assert str(exc.value) == "line 4: expected 2-4 tab-separated fields, got 5"
+
+
 def test_acyclicity_by_traversal(chain):
     # depth-first from every root, no node revisited on the current path
     def visit(cid, path):
@@ -314,6 +532,39 @@ class TestBuildOntologyBoundedMemory:
             tracemalloc.stop()
         assert len(onto) == n and len(onto.roots()) == 30 and onto.depth() > 5
         assert held < 1000 * n, f"{held} bytes held for {n} concepts"
+
+    def test_import_peak_per_concept(self, tmp_path):
+        # 4,000 concepts on CPython 3.11: reading the file into a row list
+        # first, then indexing it with a dict of flags per key, peaked at
+        # about 1,760-1,800 B per concept in either loader; rows streamed
+        # into the index peak at about 690 B
+        n = 4000
+        rows, stopwords = generated_rows(n), load_stoplist()
+        tsv, mesh = tmp_path / "onto.tsv", tmp_path / "mesh.txt"
+        tsv.write_text("".join(
+            f"{cid}\t{name}\t{','.join(trees)}\t{'|'.join(entries)}\n"
+            for cid, name, trees, entries in rows
+        ))
+        mesh.write_text("".join(
+            f"*NEWRECORD\nMH = {name}\n"
+            + "".join(f"ENTRY = {e}\n" for e in entries)
+            + "".join(f"MN = {tn}\n" for tn in trees)
+            + f"UI = {cid}\n\n"
+            for cid, name, trees, entries in rows
+        ))
+        for loader, path in ((load_ontology, tsv), (import_mesh_ascii, mesh)):
+            loader(path, stopwords)  # every word is in the stem memo before the trace
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                onto = loader(path, stopwords)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert len(onto) == n
+            assert peak < 1400 * n, (
+                f"{loader.__name__}: {peak} bytes at peak for {n} concepts"
+            )
 
 
 # Keys with two and three senses, ranked by preferred name, then tree
