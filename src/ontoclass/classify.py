@@ -200,15 +200,15 @@ def _score_cuts(
     g_counts = np.bincount(
         group * n_classes + labels, minlength=n_groups * n_classes
     ).reshape(n_groups, n_classes)
-    first = np.r_[True, g_col[1:] != g_col[:-1]]
+    first = np.concatenate(([True], g_col[1:] != g_col[:-1]))
     # one past the last group of each group's column
-    col_stops = np.r_[np.flatnonzero(first)[1:], n_groups][np.cumsum(first) - 1]
+    col_stops = np.append(np.flatnonzero(first)[1:], n_groups)[np.cumsum(first) - 1]
     cum = np.vstack(
         [np.zeros((1, n_classes), dtype=np.int64), np.cumsum(g_counts, axis=0)]
     )
     left = parent[None, :] - (cum[col_stops] - cum[:-1])
     left_n = left.sum(axis=1)
-    below = np.where(first, 0.0, np.r_[0.0, g_val[:-1]])
+    below = np.where(first, 0.0, np.concatenate(([0.0], g_val[:-1])))
     keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
 
     parent_counts = parent.astype(np.float64)
@@ -256,19 +256,21 @@ def _best_split(
     order = np.lexsort((vals, cols))
     cols, vals, labels = cols[order], vals[order], labels[owner[order]]
     # one group per distinct (column, value), in (column, value) order
-    opens = np.r_[True, (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])]
+    opens = np.concatenate(
+        ([True], (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1]))
+    )
     group = np.cumsum(opens) - 1
-    g_entry = np.r_[np.flatnonzero(opens), cols.size]
+    g_entry = np.append(np.flatnonzero(opens), cols.size)
     g_col, g_val = cols[opens], vals[opens]
 
     # Score whole columns a block at a time, so that the (candidates x
     # classes) arrays stay near _BLOCK_CELLS cells at any corpus size.
-    col_starts = np.flatnonzero(np.r_[True, g_col[1:] != g_col[:-1]])
+    col_starts = np.flatnonzero(np.concatenate(([True], g_col[1:] != g_col[:-1])))
     per_block = max(1, _BLOCK_CELLS // n_classes)
     marks = np.arange(0, g_col.size, per_block)
     bounds = np.unique(col_starts[np.searchsorted(col_starts, marks, side="right") - 1])
     scored = []
-    for a, b in zip(bounds, np.r_[bounds[1:], g_col.size]):
+    for a, b in zip(bounds, np.append(bounds[1:], g_col.size)):
         e = slice(g_entry[a], g_entry[b])
         scored.append(_score_cuts(
             group[e] - a, labels[e], g_col[a:b], g_val[a:b], parent, min_leaf

@@ -42,10 +42,11 @@ class ExperimentError(OntoclassError):
 def open_utf8(
     path: str | Path, error: Callable[[str], OntoclassError] = ParseError
 ) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file; a byte that does not decode becomes
-    `error(message)`, a message naming the file and the byte."""
+    """Open a UTF-8 text file, dropping a leading byte-order mark; a byte
+    that does not decode becomes `error(message)`, a message naming the
+    file and the byte."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start : exc.start + 1]

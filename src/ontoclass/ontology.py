@@ -148,31 +148,31 @@ def _mesh_rows(path: str | Path) -> Iterator[Row]:
     with open_utf8(path) as fh:
         # one more record mark after the file ends the last record
         for raw in chain(fh, ["*NEWRECORD"]):
-            line = raw.strip()
-            if line == "*NEWRECORD":
-                if not record:
-                    continue
-                name = record.get("MH", [""])[0]
-                uid = record.get("UI", [""])[0]
-                if name and uid:
-                    entries = [
-                        v.split("|", 1)[0].strip()
-                        for v in record.get("ENTRY", []) + record.get("PRINT ENTRY", [])
-                    ]
-                    kept += 1
-                    yield uid, name, record.get("MN", []), [e for e in entries if e]
-                else:
-                    log.warning("descriptor record missing MH or UI; skipped")
-                    skipped += 1
-                record = {}
+            # a line holding "=" is a field; of the others, only the
+            # record mark means anything
+            key, eq, value = raw.partition("=")
+            if eq:
+                key = key.strip()
+                if key in {"MH", "UI", "MN", "ENTRY", "PRINT ENTRY"}:
+                    value = value.strip()
+                    if value:
+                        record.setdefault(key, []).append(value)
                 continue
-            if not line or "=" not in line:
+            if key.strip() != "*NEWRECORD" or not record:
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in {"MH", "UI", "MN", "ENTRY", "PRINT ENTRY"} and value:
-                record.setdefault(key, []).append(value)
+            name = record.get("MH", [""])[0]
+            uid = record.get("UI", [""])[0]
+            if name and uid:
+                entries = [
+                    v.split("|", 1)[0].strip()
+                    for v in record.get("ENTRY", []) + record.get("PRINT ENTRY", [])
+                ]
+                kept += 1
+                yield uid, name, record.get("MN", []), [e for e in entries if e]
+            else:
+                log.warning("descriptor record missing MH or UI; skipped")
+                skipped += 1
+            record = {}
     if skipped and not kept:
         raise OntologyError("no valid descriptor records")
 
@@ -186,7 +186,8 @@ def build_ontology(
     as it is read. Hierarchy comes from tree numbers: the parent of
     C01.539.100 is the concept owning C01.539; a tree number whose parent
     path is owned by no concept makes that position a root (with a
-    warning). Concepts with the same parents share one parent set. Entry
+    warning). Concepts with the same parents share one parent set, and
+    the keys whose only sense is one concept share one sense tuple. Entry
     terms longer than MAX_PHRASE_LEN stemmed tokens are indexed under
     their leading tokens only when that truncated key identifies the
     concept uniquely; otherwise they are dropped.
@@ -201,11 +202,13 @@ def build_ontology(
 
     trees_of: dict[str, Sequence[str]] = {}  # concept id -> tree numbers, row order
     tree_owner: dict[str, str] = {}
-    pref_key: dict[str, str] = {}  # concept id -> its preferred name's key
+    # concept id -> its preferred name's key, when that key is not truncated
+    pref_key: dict[str, str] = {}
     # key -> concept ids, first seen first; exact keys, then long terms'
     # truncated keys, kept apart until every exact key is known
     exact: dict[str, tuple[str, ...]] = {}
     truncated: dict[str, tuple[str, ...]] = {}
+    masks: dict[str, int] = {}  # first stem -> bit w-1 per exact key width w
     tree_error = id_error = ""
     for concept_id, preferred, trees, entries in rows:
         for tn in trees:
@@ -218,21 +221,27 @@ def build_ontology(
         if concept_id in trees_of and not id_error:
             id_error = f"duplicate concept id {concept_id!r}"
         trees_of[concept_id] = trees
+        sense = (concept_id,)  # shared by every key only this concept has
         for term in dict.fromkeys([preferred, *entries]):
-            key = phrase_key(term, stopwords)
-            if term == preferred:
-                pref_key[concept_id] = key
-            if not key:
+            # phrase_key's stems, joined below only as far as they are kept
+            stems = [stem(t) for t in tokenize(term) if t not in stopwords]
+            if not stems:
                 log.debug("entry term %r of %s normalizes to nothing", term,
                           concept_id)
                 continue
-            slot = exact
-            if key.count(" ") >= MAX_PHRASE_LEN:
-                key = " ".join(key.split(" ", MAX_PHRASE_LEN)[:MAX_PHRASE_LEN])
+            if len(stems) > MAX_PHRASE_LEN:
+                key = " ".join(stems[:MAX_PHRASE_LEN])
                 slot = truncated
+            else:
+                key = " ".join(stems)
+                slot = exact
+                if term == preferred:
+                    pref_key[concept_id] = key
             cids = slot.get(key)
             if cids is None:
-                slot[key] = (concept_id,)
+                slot[key] = sense
+                if slot is exact:
+                    masks[stems[0]] = masks.get(stems[0], 0) | 1 << (len(stems) - 1)
             elif cids[-1] != concept_id:  # a concept's terms come together
                 slot[key] = (*cids, concept_id)
     if tree_error:
@@ -248,7 +257,7 @@ def build_ontology(
     for key, cids in exact.items():
         if len(cids) > 1:
             exact[key] = tuple(sorted(cids, key=lambda cid: (
-                pref_key[cid] != key, min(trees_of[cid], default=_NO_TREE), cid,
+                pref_key.get(cid) != key, min(trees_of[cid], default=_NO_TREE), cid,
             )))
     del pref_key
 
@@ -278,7 +287,10 @@ def build_ontology(
     for key, cids in truncated.items():
         owners = set(cids).union(exact.get(key, ()))
         if len(owners) == 1:
-            exact.setdefault(key, cids)
+            if key not in exact:
+                exact[key] = cids
+                first = key.partition(" ")[0]
+                masks[first] = masks.get(first, 0) | 1 << (MAX_PHRASE_LEN - 1)
         else:
             dropped += 1
             log.warning(
@@ -286,10 +298,6 @@ def build_ontology(
                 key, sorted(owners),
             )
 
-    masks: dict[str, int] = {}
-    for key in exact:
-        first = key.partition(" ")[0]
-        masks[first] = masks.get(first, 0) | 1 << key.count(" ")
     phrase_widths = {first: _WIDTHS[mask] for first, mask in masks.items()}
 
     onto = Ontology(parents=parents, phrase_index=exact,

@@ -1,5 +1,6 @@
 """Every loader, fed a mutated copy of a valid file, either loads it or
-raises an `OntoclassError`; no other exception gets out."""
+raises an `OntoclassError`; no other exception gets out. A UTF-8
+byte-order mark at the start of a file changes nothing."""
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,6 +16,7 @@ from ontoclass.evaluate import (
     report_to_csv,
 )
 from ontoclass.ontology import import_mesh_ascii, load_ontology
+from ontoclass.preprocess import load_stoplist
 
 OHSUMED = """\
 .I 1
@@ -222,3 +224,25 @@ def test_mutants_raise_only_package_errors(workdir, loader, edits):
         load(path)
     except OntoclassError:
         pass
+
+
+#: Every loader's seed, plus the first lines that a byte-order mark kept
+#: in the text spoiled: a TSV thesaurus or MeSH file that opens with a
+#: concept row or a field line, and a stoplist's first word.
+BOM_CASES = {
+    **LOADERS,
+    "load_ontology, row first": (load_ontology, ONTOLOGY_TSV.split("\n", 1)[1]),
+    "import_mesh_ascii, field first": (import_mesh_ascii,
+                                       MESH_ASCII.split("\n", 1)[1]),
+    "load_stoplist": (load_stoplist, "the\n# comment\nof\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_byte_order_mark_loads_like_no_mark(workdir, case):
+    load, seed = BOM_CASES[case]
+    plain, marked = workdir / "plain.seed", workdir / "marked.seed"
+    plain.write_text(seed, encoding="utf-8")
+    marked.write_text(seed, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert repr(load(marked)) == repr(load(plain))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import logging
 import random
 import tracemalloc
@@ -10,10 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthcorpus
-from ontoclass.errors import OntologyError, ParseError
+from ontoclass.errors import OntologyError, ParseError, open_utf8
 from ontoclass.ontology import (
     MAX_PHRASE_LEN,
     Ontology,
+    _mesh_rows,
     build_ontology,
     import_mesh_ascii,
     load_ontology,
@@ -428,6 +430,23 @@ class TestBuildOntologyEquivalence:
         sets = list(onto.parents.values())
         assert len({id(ps) for ps in sets}) == len(set(sets))
 
+    @given(rows=_thesauri())
+    def test_single_sense_keys_share_one_tuple(self, rows):
+        try:
+            onto = build_ontology(rows, STOP)
+        except OntologyError:  # a cycle
+            return
+        assert_one_tuple_per_sense(onto)
+
+
+def assert_one_tuple_per_sense(onto):
+    """Every key whose only sense is concept c holds one and the same
+    tuple object."""
+    sense_of = {}
+    for cids in onto.phrase_index.values():
+        if len(cids) == 1:
+            assert sense_of.setdefault(cids[0], cids) is cids
+
 
 class TestBuildOntologyErrors:
     @pytest.mark.parametrize("rows, message", [
@@ -463,6 +482,108 @@ class TestBuildOntologyErrors:
         with pytest.raises(ParseError) as exc:
             load_ontology(f)
         assert str(exc.value) == "line 4: expected 2-4 tab-separated fields, got 5"
+
+
+def mesh_rows_reference(path):
+    """The MeSH reader that strips every line, then tests it for the
+    record mark, then partitions and strips it again."""
+    kept = skipped = 0
+    record = {}
+    with open_utf8(path) as fh:
+        for raw in itertools.chain(fh, ["*NEWRECORD"]):
+            line = raw.strip()
+            if line == "*NEWRECORD":
+                if not record:
+                    continue
+                name = record.get("MH", [""])[0]
+                uid = record.get("UI", [""])[0]
+                if name and uid:
+                    entries = [
+                        v.split("|", 1)[0].strip()
+                        for v in record.get("ENTRY", []) + record.get("PRINT ENTRY", [])
+                    ]
+                    kept += 1
+                    yield uid, name, record.get("MN", []), [e for e in entries if e]
+                else:
+                    log.warning("descriptor record missing MH or UI; skipped")
+                    skipped += 1
+                record = {}
+                continue
+            if not line or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key in {"MH", "UI", "MN", "ENTRY", "PRINT ENTRY"} and value:
+                record.setdefault(key, []).append(value)
+    if skipped and not kept:
+        raise OntologyError("no valid descriptor records")
+
+
+def mesh_rows_outcome(read, path):
+    """The rows a MeSH reader yields, the error it ends in, if any, and
+    its warnings in order."""
+    rows, error = [], None
+    with ontology_log() as records:
+        try:
+            rows.extend(read(path))
+        except OntologyError as exc:
+            error = str(exc)
+    warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+    return rows, error, warnings
+
+
+# str.strip drops all of these; a text file splits lines at "\n" only
+_PAD = st.sampled_from(["", " ", "\t", "\x0b", "\xa0", " \t\xa0"])
+_MESH_KEY = st.sampled_from(
+    ["MH", "UI", "MN", "ENTRY", "PRINT ENTRY", "PRINT", "AN", "mh", ""]
+)
+_MESH_VALUE = st.sampled_from(
+    ["", "Cold", "Flu", "D1", "D2", "C01.5", "a = b", "=", "Flu|T047|NON", "|x", "x|"]
+)
+_MESH_OTHER = st.sampled_from(
+    ["*NEWRECORD", "*NEWRECORD x", "*newrecord", "MH Cold", "ENTRY", "*"]
+)
+
+
+@st.composite
+def _mesh_files(draw):
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("ffffmb-"), max_size=30)):
+        lead, trail = draw(_PAD), draw(_PAD)
+        if kind == "f":
+            line = (f"{lead}{draw(_MESH_KEY)}{draw(_PAD)}={draw(_PAD)}"
+                    f"{draw(_MESH_VALUE)}{trail}")
+        elif kind == "m":
+            line = f"{lead}*NEWRECORD{trail}"
+        elif kind == "b":
+            line = lead
+        else:
+            line = f"{lead}{draw(_MESH_OTHER)}{trail}"
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.fixture(scope="module")
+def mesh_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mesh") / "mesh.txt"
+
+
+class TestMeshRowsEquivalence:
+    @settings(deadline=None, max_examples=300)
+    @given(text=_mesh_files())
+    # PRINT ENTRY before ENTRY, repeated MH and UI, "=" in a value, empty
+    # values, and a last record with no final newline
+    @example(text=" MH\t= Flu = Grippe\nPRINT ENTRY = Grippe|T047\nENTRY=Flu\n"
+                  "MH = Cold\nUI = D1\nUI = D2\nMN =\nENTRY = \xa0\nMH=\n"
+                  "\xa0*NEWRECORD\x0b\n"
+                  "AN = x\n*NEWRECORD\nMH = Fever\nMN = C01\nUI = D3")
+    # every record skipped: one without UI, one without MH
+    @example(text="*NEWRECORD\nMH = Cold\n*NEWRECORD\nUI = D1\nUI =\n")
+    def test_matches_line_loop(self, mesh_path, text):
+        mesh_path.write_text(text, encoding="utf-8")
+        assert (mesh_rows_outcome(_mesh_rows, mesh_path)
+                == mesh_rows_outcome(mesh_rows_reference, mesh_path))
 
 
 def test_acyclicity_by_traversal(chain):
@@ -532,6 +653,32 @@ class TestBuildOntologyBoundedMemory:
             tracemalloc.stop()
         assert len(onto) == n and len(onto.roots()) == 30 and onto.depth() > 5
         assert held < 1000 * n, f"{held} bytes held for {n} concepts"
+
+    def test_single_sense_keys_share_one_tuple(self):
+        onto = build_ontology(generated_rows(4000), load_stoplist())
+        assert_one_tuple_per_sense(onto)
+        # about 7,200 single-sense keys share about 3,800 tuples, one per
+        # concept, since most concepts have a synonym
+        single = [cids for cids in onto.phrase_index.values() if len(cids) == 1]
+        assert len({id(cids) for cids in single}) == len(set(single)) < len(single)
+
+    def test_memory_held_per_concept_with_stems_memoised(self):
+        # 4,000 concepts on CPython 3.11, every word already in the stem
+        # memo: the build holds about 375 B per concept when a concept's
+        # single-sense keys share one (concept id,) tuple, and held about
+        # 450 B with one such tuple per key
+        n = 4000
+        rows, stopwords = generated_rows(n), load_stoplist()
+        build_ontology(rows, stopwords)  # every word is in the stem memo
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            onto = build_ontology(rows, stopwords=stopwords)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(onto) == n
+        assert held < 410 * n, f"{held} bytes held for {n} concepts"
 
     def test_import_peak_per_concept(self, tmp_path):
         # 4,000 concepts on CPython 3.11: reading the file into a row list
