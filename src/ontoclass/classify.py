@@ -77,16 +77,15 @@ def knn_predict_all(
     labels = model.matrix.labels
     q = queries.values
     dots = np.asarray((q @ train.T).todense())
+    q_sq = np.asarray(q.multiply(q).sum(axis=1)).ravel()
     if model.similarity == "cosine":
         sims = dots
     else:
-        q_sq = np.asarray(q.multiply(q).sum(axis=1)).ravel()
         r_sq = np.asarray(train.multiply(train).sum(axis=1)).ravel()
         d2 = np.maximum(q_sq[:, None] + r_sq[None, :] - 2.0 * dots, 0.0)
         sims = -np.sqrt(d2)
     fallback = _majority_class(Counter(labels))
-    zero_rows = np.asarray(q.multiply(q).sum(axis=1)).ravel() == 0.0
-    zero_rows &= model.similarity == "cosine"
+    zero_rows = (q_sq == 0.0) & (model.similarity == "cosine")
     if zero_rows.any():
         log.warning("%d zero query vectors; using majority class %r",
                     zero_rows.sum(), fallback)
@@ -246,7 +245,7 @@ def _best_split(
     n = rows.size
     labels = y[rows]
     parent = np.bincount(labels, minlength=n_classes)
-    if _entropy(parent.astype(np.float64)) == 0.0 or n < 2 * min_leaf:
+    if n < 2 * min_leaf:
         return None
 
     pos, owner = _row_nonzeros(x, rows)
@@ -333,18 +332,15 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
     return tree
 
 
-def _extra_errors(n: float, e: float, cf: float) -> float:
-    """Pessimistic additional-error estimate at confidence cf.
+def _extra_errors(n: int, e: int, cf: float) -> float:
+    """Pessimistic additional-error estimate at confidence cf for a leaf
+    of n rows, e of them misclassified.
 
     Classic upper-confidence-bound correction: exact binomial tail at
-    e = 0, linear interpolation below one error, continuity-corrected
-    normal approximation elsewhere.
+    e = 0, continuity-corrected normal approximation elsewhere.
     """
-    if e < 1.0:
-        base = n * (1.0 - cf ** (1.0 / n))
-        if e == 0.0:
-            return base
-        return base + e * (_extra_errors(n, 1.0, cf) - base)
+    if e == 0:
+        return n * (1.0 - cf ** (1.0 / n))
     if e + 0.5 >= n:
         return 0.67 * (n - e)
     z = NormalDist().inv_cdf(1.0 - cf)

@@ -77,8 +77,6 @@ def _load_labeled_corpus(config: ExperimentConfig):
 
 
 def _load_ontology(config: ExperimentConfig):
-    if not config.ontology_path:
-        return None
     path = config.resolve(config.ontology_path)
     stopwords = load_stoplist(config.resolve(config.stoplist))
     if config.ontology_format == "mesh-ascii":
@@ -141,15 +139,15 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _require_config(args)
     corpus, ontology = _inputs(config)
-    vectors = representation_vectors(corpus, ontology, config)
     if not corpus.categories:
         raise ConfigError("corpus.label_map", "labeled corpus required for select")
+    vectors = representation_vectors(corpus, ontology, config)
     space = select_top_k(
         vectors, k=config.k_features, categories=corpus.categories
     )
     out = _out_dir(config) / "features.tsv"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# k = {space.k_per_category}\n")
+        fh.write(f"# k = {config.k_features}\n")
         for cat in corpus.categories:
             for desc in space.selected[cat]:
                 score = space.per_category_scores[(cat, desc)]

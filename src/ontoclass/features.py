@@ -181,7 +181,6 @@ class FeatureSpace:
 
     descriptors: tuple[str, ...]
     per_category_scores: Mapping[tuple[str, str], float]
-    k_per_category: int
     selected: dict[str, tuple[str, ...]]
     df: tuple[int, ...]
 
@@ -300,7 +299,6 @@ def select_top_k(
     return FeatureSpace(
         descriptors=tuple(vocab[c] for c in union),
         per_category_scores=ScoreTable(row_of, vocab, scores),
-        k_per_category=k,
         selected=selected,
         df=tuple(category_freq[list(union)].tolist()),
     )

@@ -39,7 +39,12 @@ class ConceptVector:
 
 @dataclass(frozen=True)
 class HybridVector:
-    """A document in mixed stem/concept space."""
+    """A document in mixed stem/concept space.
+
+    Under AddConcept and for stems, `term_part` is the term vector's own
+    `counts` dict, not a copy: both are frozen values, and nothing
+    mutates either dict.
+    """
 
     doc_id: str
     term_part: dict[str, int]
@@ -177,7 +182,7 @@ def map_document(
         )
 
     if config.strategy == "AddConcept":
-        term_part = dict(term_vector.counts)
+        term_part = term_vector.counts
     elif config.strategy == "ReplaceTerms":
         term_part = {
             s: n for s, n in term_vector.counts.items() if s not in consumed
@@ -218,7 +223,7 @@ def stems_only(term_vector: TermVector) -> HybridVector:
     """The baseline representation: stems pass through untouched."""
     return HybridVector(
         doc_id=term_vector.doc_id,
-        term_part=dict(term_vector.counts),
+        term_part=term_vector.counts,
         concept_part=ConceptVector({}),
         labels=term_vector.labels,
     )

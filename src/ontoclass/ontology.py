@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OntologyError, ParseError, open_utf8
-from .porter import stem
-from .preprocess import load_stoplist, tokenize
+from .preprocess import content_stems, load_stoplist
 
 log = logging.getLogger(__name__)
 
@@ -87,12 +86,8 @@ class Ontology:
 
 
 def phrase_key(term: str, stopwords: frozenset[str]) -> str:
-    """Normalize a phrase the same way document text is preprocessed.
-
-    Tokens are lowercased alphabetic runs of length >= 2; stopwords drop
-    out; the rest are stemmed and joined with single spaces. May be empty.
-    """
-    return " ".join(stem(t) for t in tokenize(term) if t not in stopwords)
+    """A phrase's `content_stems`, joined with single spaces. May be empty."""
+    return " ".join(content_stems(term, stopwords))
 
 
 def load_ontology(
@@ -224,7 +219,7 @@ def build_ontology(
         sense = (concept_id,)  # shared by every key only this concept has
         for term in dict.fromkeys([preferred, *entries]):
             # phrase_key's stems, joined below only as far as they are kept
-            stems = [stem(t) for t in tokenize(term) if t not in stopwords]
+            stems = content_stems(term, stopwords)
             if not stems:
                 log.debug("entry term %r of %s normalizes to nothing", term,
                           concept_id)

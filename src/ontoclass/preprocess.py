@@ -34,6 +34,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def content_stems(text: str, stopwords: frozenset[str]) -> list[str]:
+    """The Porter stems of a text's tokens that are not stopwords, in order.
+
+    Document text, thesaurus terms and annotation phrases all go through
+    this one rule, so a document window meets the key of the term it
+    spells.
+    """
+    return [stem(tok) for tok in tokenize(text) if tok not in stopwords]
+
+
 def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list, one word per line.
 
@@ -73,9 +83,6 @@ class TermVector:
     def __post_init__(self):
         object.__setattr__(self, "counts", dict(Counter(self.stems)))
 
-    def total(self) -> int:
-        return len(self.stems)
-
 
 def preprocess_text(
     doc_id: str,
@@ -84,8 +91,7 @@ def preprocess_text(
     labels: tuple[str, ...] = (),
 ) -> TermVector:
     """Run the full pipeline on one text: strip markup, tokenize, stop, stem."""
-    clean = strip_markup(text)
-    stems = tuple(stem(tok) for tok in tokenize(clean) if tok not in stopwords)
+    stems = tuple(content_stems(strip_markup(text), stopwords))
     if not stems:
         log.warning("document %s is empty after preprocessing", doc_id)
     return TermVector(doc_id=doc_id, stems=stems, labels=labels)
@@ -102,7 +108,7 @@ def preprocess_corpus(corpus, stopwords: frozenset[str] | None = None) -> list[T
     if log.isEnabledFor(logging.INFO):
         log.info(
             "preprocess: %d documents, %d tokens, %d distinct stems",
-            len(vectors), sum(v.total() for v in vectors),
+            len(vectors), sum(len(v.stems) for v in vectors),
             len(set().union(*(v.counts for v in vectors))),
         )
     return vectors

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from ontoclass import cli
 from ontoclass.cli import CONFIG_ENV, main
 
 INI = """\
@@ -31,6 +32,11 @@ seed = 0
 [cli]
 output_dir = out
 """
+
+#: the stems run, which names no thesaurus
+STEMS_INI = INI.replace("[ontology]\npath = onto.tsv\nformat = tsv\n\n", "").replace(
+    "representation = concepts", "representation = stems"
+)
 
 ONTO_TSV = """\
 D100\tDiseases\tC01\t
@@ -252,6 +258,26 @@ class TestExitCodes:
         assert err.startswith("config error: corpus.categories")
         assert "'Heart Disease' listed more than once" in err
         assert not (workspace / "out" / "report.csv").exists()
+
+    def test_ontology_check_without_thesaurus_exits_2(self, workspace, capsys):
+        (workspace / "stems.ini").write_text(STEMS_INI, encoding="utf-8")
+        assert run(workspace, "ontology-check", config="stems.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ontology.path: required")
+
+    def test_select_on_unlabeled_corpus_exits_2_before_mapping(
+        self, workspace, capsys, monkeypatch
+    ):
+        def mapping_work(*args):
+            raise AssertionError("mapped before the label check")
+
+        monkeypatch.setattr(cli, "representation_vectors", mapping_work)
+        ini = STEMS_INI.replace("label_map = labels.tsv\n", "")
+        (workspace / "unlabeled.ini").write_text(ini, encoding="utf-8")
+        assert run(workspace, "select", config="unlabeled.ini") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corpus.label_map: labeled corpus")
+        assert not (workspace / "out" / "features.tsv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
     def test_threads_below_one_is_usage_error(self, workspace, capsys, threads):

@@ -219,6 +219,10 @@ class TestAssignLabels:
 
 
 class TestCorpusInvariants:
+    def test_empty_doc_id_rejected(self):
+        with pytest.raises(OntoclassError, match="document with empty doc_id"):
+            Document(doc_id="", title="a")
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(OntoclassError, match="duplicate"):
             Corpus(

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import synthcorpus
 from ontoclass import evaluate
 from ontoclass.config import ExperimentConfig
-from ontoclass.corpus import Corpus, Document
+from ontoclass.corpus import Corpus, Document, assign_labels
 from ontoclass.errors import ExperimentError, OntoclassError, ParseError
 from ontoclass.evaluate import (
     CategoryMetrics,
@@ -18,12 +19,14 @@ from ontoclass.evaluate import (
     read_report_csv,
     render_table,
     report_to_csv,
+    representation_vectors,
     run_experiment,
     write_report,
 )
 from ontoclass.features import count_matrix
+from ontoclass.mapping import MappingConfig, map_document
 from ontoclass.ontology import build_ontology
-from ontoclass.preprocess import load_stoplist
+from ontoclass.preprocess import load_stoplist, preprocess_text
 
 
 def fold_members(plan, fold):
@@ -235,6 +238,14 @@ class TestRunExperiment:
         with pytest.raises(OntoclassError):
             run_experiment(empty, None, stems_config())
 
+    def test_corpus_without_category_list_rejected(self):
+        bare = Corpus(documents=tuple(
+            Document(doc_id=d.doc_id, title=d.title, abstract=d.abstract)
+            for d in separable_corpus().documents
+        ))
+        with pytest.raises(OntoclassError, match="corpus has no category list"):
+            run_experiment(bare, None, stems_config())
+
     def test_concept_representation_requires_ontology(self):
         config = stems_config(representation="concepts")
         with pytest.raises(OntoclassError, match="needs an ontology"):
@@ -246,6 +257,127 @@ class TestRunExperiment:
         assert echo["mapping.representation"] == "stems"
         assert echo["evaluate.n_folds"] == "5"
         assert echo["classify.knn_k"] == "1"
+
+
+class TestMeshAnnotations:
+    """`use_mesh_annotations` through `representation_vectors` and
+    `run_experiment`: each document's row counts its own `.M` headings."""
+
+    # D3 is named in no document text, only in annotations
+    ROWS = [
+        ("D1", "Kardol Syndrome", ["C01"], ["kardol"]),
+        ("D2", "Moxart Failure", ["C02"], ["moxart"]),
+        ("D3", "Fenwip Disorder", ["C01.100"], []),
+    ]
+
+    @staticmethod
+    def annotated_corpus():
+        docs, label_map = [], {}
+        for cat, marker, heading in (("Cardio", "kardol", "Kardol Syndrome"),
+                                     ("Renal", "moxart", "Moxart Failure")):
+            for i in range(4):
+                doc_id = f"{marker}{i}"
+                headings = (heading,) if i % 2 else (heading, "Fenwip Disorder")
+                docs.append(Document(doc_id=doc_id, title=f"{marker} report",
+                                     abstract=f"patient outcome {marker}",
+                                     mesh_annotations=headings))
+                label_map[doc_id] = (cat,)
+        # two labels: the duplicate policy clones it as "both::2"
+        docs.append(Document(doc_id="both", title="kardol moxart report",
+                             mesh_annotations=("Fenwip Disorder*",)))
+        label_map["both"] = ("Cardio", "Renal")
+        return assign_labels(Corpus(documents=tuple(docs)), label_map,
+                             policy="duplicate")
+
+    def test_each_row_maps_its_own_annotations(self, monkeypatch):
+        corpus = self.annotated_corpus()
+        stopwords = load_stoplist()
+        onto = build_ontology(self.ROWS, stopwords)
+        config = ExperimentConfig(
+            representation="concepts", use_mesh_annotations=True,
+            label_policy="duplicate", knn_k=1, n_folds=2, seed=0, k_features=10,
+        )
+        counted = []
+
+        def counting(vectors):
+            counted.append(count_matrix(vectors))
+            return counted[-1]
+
+        monkeypatch.setattr(evaluate, "count_matrix", counting)
+        run_experiment(corpus, onto, config)
+        vectors = representation_vectors(corpus, onto, config)
+
+        mcfg = MappingConfig(use_mesh_annotations=True)
+        expected = [
+            map_document(preprocess_text(d.doc_id, d.text, stopwords, d.labels),
+                         onto, mcfg, d.mesh_annotations)
+            for d in corpus.documents
+        ]
+        assert vectors == expected
+        (counts,) = counted
+        want = count_matrix(expected)
+        assert counts.doc_ids == want.doc_ids and counts.labels == want.labels
+        assert counts.descriptors == want.descriptors
+        assert (counts.values != want.values).nnz == 0
+
+        clone = vectors[-1]
+        assert (clone.doc_id, clone.labels) == ("both::2", ("Renal",))
+        assert clone.concept_part.counts == {"D1": 1, "D2": 1, "D3": 1}
+        text_only = map_document(
+            preprocess_text("both", "kardol moxart report", stopwords), onto, mcfg
+        )
+        assert "D3" not in text_only.concept_part.counts
+
+
+def generated_corpus(n_docs, seed=13):
+    """`n_docs` documents of 120 Zipf-drawn made-up words over four
+    categories, and a thesaurus naming the 300 most frequent words."""
+    rng = random.Random(seed)
+    syllables = ["ka", "lo", "mi", "ner", "tus", "pha", "gen", "ost", "rid",
+                 "vel", "cor", "dia"]
+    words = sorted({
+        "".join(rng.choice(syllables) for _ in range(rng.randint(2, 4)))
+        for _ in range(3000)
+    })
+    weights = [1 / rank for rank in range(1, len(words) + 1)]
+    cats = ("A", "B", "C", "D")
+    docs = tuple(
+        Document(doc_id=f"d{i}",
+                 title=" ".join(rng.choices(words, weights, k=10)),
+                 abstract=" ".join(rng.choices(words, weights, k=110)),
+                 labels=(cats[i % 4],))
+        for i in range(n_docs)
+    )
+    rows = [(f"D{i}", w, [f"C{i}"], []) for i, w in enumerate(words[:300])]
+    return Corpus(documents=docs, categories=cats), rows
+
+
+class TestRepresentationBoundedMemory:
+    @pytest.mark.parametrize("representation, bound", [
+        ("concepts", 5400),
+        ("stems", 3900),
+    ])
+    def test_peak_per_document(self, representation, bound):
+        # 400 documents of about 80 distinct stems on CPython 3.11, every
+        # word already in the stem memo: AddConcept peaks at about
+        # 4,630 B per document and stems at about 3,110 B when `term_part`
+        # is the term vector's own counts; a copy of the counts per
+        # document peaked at about 6,300 B and 4,780 B
+        n = 400
+        corpus, rows = generated_corpus(n)
+        onto = build_ontology(rows, load_stoplist())
+        config = ExperimentConfig(representation=representation,
+                                  strategy="AddConcept")
+        representation_vectors(corpus, onto, config)  # fills the stem memo
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vectors = representation_vectors(corpus, onto, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(vectors) == n
+        assert peak < bound * n, f"{peak} bytes at peak for {n} documents"
 
 
 class TestReportRendering:

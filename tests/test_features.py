@@ -328,10 +328,18 @@ class TestCategoryStats:
                 FeatureSpace(
                     descriptors=("t:a",),
                     per_category_scores={},
-                    k_per_category=1,
                     selected={"X": ("t:a",), "Y": ()},
                     df=(df,),
                 )
+
+    def test_one_df_per_descriptor_required(self):
+        with pytest.raises(OntoclassError, match="one df per selected descriptor"):
+            FeatureSpace(
+                descriptors=("t:a", "t:b"),
+                per_category_scores={},
+                selected={"X": ("t:a",), "Y": ("t:b",)},
+                df=(1,),
+            )
 
     def test_empty_input_rejected(self):
         with pytest.raises(OntoclassError):
@@ -817,6 +825,32 @@ class TestSelectTopKBoundedMemory:
             tracemalloc.stop()
         assert len(space.per_category_scores) == n_pairs
         assert peak < 40 * n_pairs, f"peak {peak} bytes for {n_pairs} pairs"
+
+
+class TestWeightedMatrixChecks:
+    def matrix(self, rows, labels=("X", "Y")):
+        return WeightedMatrix(
+            doc_ids=("d1", "d2"),
+            descriptors=("t:a", "t:b", "t:c"),
+            values=sparse.csr_matrix(np.array(rows, dtype=np.float64)),
+            labels=labels,
+        )
+
+    def test_well_formed_matrix_accepted(self):
+        assert self.matrix([[1, 0, 2], [0, 0, 0]]).values.nnz == 2
+
+    def test_shape_must_match_ids_and_descriptors(self):
+        with pytest.raises(OntoclassError,
+                           match=r"shape \(2, 2\) does not match 2 docs x 3"):
+            self.matrix([[1, 0], [0, 1]])
+
+    def test_one_label_per_row(self):
+        with pytest.raises(OntoclassError, match="one label per row"):
+            self.matrix([[1, 0, 2], [0, 1, 0]], labels=("X",))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(OntoclassError, match="negative weight"):
+            self.matrix([[1, 0, 2], [0, -0.5, 0]])
 
 
 class TestMatrixSerialization:

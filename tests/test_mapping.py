@@ -449,6 +449,9 @@ class TestVectorTypes:
             MappingConfig(strategy="Merge")
         with pytest.raises(OntoclassError):
             MappingConfig(disambiguation="Best")
+        with pytest.raises(OntoclassError,
+                           match="unknown hyperonym variant 'transitive'"):
+            MappingConfig(hyperonym_variant="transitive")
 
     def test_stems_only_passthrough(self):
         vec = doc_vector(FIGURE_TEXT, labels=("C01",))

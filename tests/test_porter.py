@@ -45,6 +45,24 @@ def test_known_words(word, expected):
     assert stem(word) == expected
 
 
+@pytest.mark.parametrize(
+    "word,expected",
+    [
+        ("adoption", "adopt"),
+        ("opinion", "opinion"),
+        ("region", "region"),
+        ("champion", "champion"),
+        ("union", "union"),
+    ],
+)
+def test_step4_drops_ion_only_after_s_or_t(word, expected):
+    # The C reference's step 4 removes -ion only when the letter before it
+    # is s or t (and m > 1). Steps 1-3 leave these words alone, and no
+    # other step-4 suffix ends them, so after any other letter the word
+    # comes through whole.
+    assert stem(word) == expected
+
+
 def test_short_words_untouched():
     # the algorithm skips strings of length 1 and 2 entirely
     assert stem("a") == "a"
