@@ -26,7 +26,8 @@ log = logging.getLogger(__name__)
 SIMILARITIES = ("cosine", "euclidean")
 DEFAULT_KNN_K = 5
 PRUNE_CONFIDENCE = 0.25
-#: cells of a (candidates x classes) array in one block of the split search
+#: cells of one block of a dense work array: (candidates x classes) in the
+#: split search, (queries x training rows) in KNN
 _BLOCK_CELLS = 1 << 16
 
 
@@ -70,40 +71,70 @@ def knn_predict_all(
     broken by larger summed similarity, then by name. A zero query under
     cosine matches nothing and falls back to the training majority class
     with empty votes; one warning counts them.
+
+    Queries are scored a block of rows at a time, so that the dense
+    (queries x training rows) similarities stay near _BLOCK_CELLS
+    cells at any corpus size. In each row, `np.partition` finds the k-th
+    largest similarity, and a stable sort of only the entries at or above
+    it ranks the neighbors, ties, zero cosines included, toward the
+    earlier row; each category's similarities are summed in that order.
     """
     if queries.descriptors != model.matrix.descriptors:
         raise OntoclassError("queries and model are over different descriptors")
     train = model.matrix.values
     labels = model.matrix.labels
     q = queries.values
-    dots = np.asarray((q @ train.T).todense())
+    k = model.k
+    cosine = model.similarity == "cosine"
+    # what `q @ train.T` converts train.T to, once for every block
+    train_t = train.T.tocsr()
     q_sq = np.asarray(q.multiply(q).sum(axis=1)).ravel()
-    if model.similarity == "cosine":
-        sims = dots
-    else:
+    if not cosine:
         r_sq = np.asarray(train.multiply(train).sum(axis=1)).ravel()
-        d2 = np.maximum(q_sq[:, None] + r_sq[None, :] - 2.0 * dots, 0.0)
-        sims = -np.sqrt(d2)
     fallback = _majority_class(Counter(labels))
-    zero_rows = (q_sq == 0.0) & (model.similarity == "cosine")
+    zero_rows = (q_sq == 0.0) & cosine
     if zero_rows.any():
         log.warning("%d zero query vectors; using majority class %r",
                     zero_rows.sum(), fallback)
 
+    n_train = train.shape[0]
+    per_block = max(1, _BLOCK_CELLS // max(1, n_train))
     out: list[tuple[str, dict[str, int]]] = []
-    for i in range(q.shape[0]):
-        if zero_rows[i]:
-            out.append((fallback, {}))
-            continue
-        order = np.argsort(-sims[i], kind="stable")[: model.k]
-        votes: dict[str, int] = {}
-        sum_sim: dict[str, float] = {}
-        for j in order:
-            cat = labels[j]
-            votes[cat] = votes.get(cat, 0) + 1
-            sum_sim[cat] = sum_sim.get(cat, 0.0) + sims[i, j]
-        winner = min(votes, key=lambda c: (-votes[c], -sum_sim[c], c))
-        out.append((winner, votes))
+    for a in range(0, q.shape[0], per_block):
+        # distances: the negated similarities, smallest first
+        dist = (q[a:a + per_block] @ train_t).toarray()
+        if cosine:
+            np.negative(dist, out=dist)
+        else:
+            d2 = q_sq[a:a + per_block, None] + r_sq[None, :]
+            dist *= 2.0
+            d2 -= dist
+            np.maximum(d2, 0.0, out=d2)
+            dist = np.sqrt(d2, out=d2)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(dist <= kth[:, None])
+        order = np.lexsort((dist[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        per_row = np.bincount(rows, minlength=dist.shape[0])
+        rank = np.arange(rows.size) - np.repeat(np.cumsum(per_row) - per_row,
+                                                per_row)
+        first = rank < k
+        neighbors = cols[first].reshape(-1, k).tolist()
+        sims = (-dist[rows[first], cols[first]]).reshape(-1, k).tolist()
+        for i, row_neighbors, row_sims in zip(
+            range(a, a + len(neighbors)), neighbors, sims
+        ):
+            if zero_rows[i]:
+                out.append((fallback, {}))
+                continue
+            votes: dict[str, int] = {}
+            sum_sim: dict[str, float] = {}
+            for j, sim in zip(row_neighbors, row_sims):
+                cat = labels[j]
+                votes[cat] = votes.get(cat, 0) + 1
+                sum_sim[cat] = sum_sim.get(cat, 0.0) + sim
+            winner = min(votes, key=lambda c: (-votes[c], -sum_sim[c], c))
+            out.append((winner, votes))
     return out
 
 

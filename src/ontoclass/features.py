@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -100,29 +102,37 @@ def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     order of the float sums downstream. An unlabeled document gets the
     label "".
     """
-    col_of: dict[str, int] = {}
+    stems: set[str] = set()
+    concepts: set[str] = set()
+    for v in vectors:
+        stems.update(v.term_part)
+        concepts.update(v.concept_part.counts)
+    # "c:" sorts before "t:", so concepts take the first columns; each
+    # kind is numbered in its own dict, with no prefixed key per entry
+    concept_names, stem_names = sorted(concepts), sorted(stems)
+    n_concepts = len(concept_names)
+    concept_col = dict(zip(concept_names, range(n_concepts)))
+    stem_col = dict(zip(stem_names, range(n_concepts, n_concepts + len(stem_names))))
     indptr = [0]
     indices: list[int] = []
     data: list[int] = []
     for v in vectors:
-        for prefix, counts in ((TERM_PREFIX, v.term_part),
-                               (CONCEPT_PREFIX, v.concept_part.counts)):
-            indices.extend(col_of.setdefault(prefix + d, len(col_of))
-                           for d in counts)
-            data.extend(counts.values())
+        concept_counts = v.concept_part.counts
+        indices.extend(map(stem_col.__getitem__, v.term_part))
+        indices.extend(map(concept_col.__getitem__, concept_counts))
+        data.extend(v.term_part.values())
+        data.extend(concept_counts.values())
         indptr.append(len(indices))
-    descriptors = sorted(col_of)
-    rank = np.empty(len(col_of), dtype=np.int64)
-    rank[[col_of[d] for d in descriptors]] = np.arange(len(col_of))
     values = sparse.csr_matrix(
         (np.asarray(data, dtype=np.float64),
-         rank[np.asarray(indices, dtype=np.int64)],
+         np.asarray(indices, dtype=np.int64),
          np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), len(col_of)),
+        shape=(len(vectors), n_concepts + len(stem_names)),
     )
     return WeightedMatrix(
         doc_ids=tuple(v.doc_id for v in vectors),
-        descriptors=tuple(descriptors),
+        descriptors=tuple([CONCEPT_PREFIX + d for d in concept_names]
+                          + [TERM_PREFIX + d for d in stem_names]),
         values=values,
         labels=tuple(v.labels[0] if v.labels else "" for v in vectors),
     )
@@ -188,11 +198,66 @@ class FeatureSpace:
         if len(self.df) != len(self.descriptors):
             raise OntoclassError("one df per selected descriptor required")
         n_categories = len(self.selected)
-        if any(d < 1 or d > n_categories for d in self.df):
+        if self.df and (min(self.df) < 1 or max(self.df) > n_categories):
             raise OntoclassError(f"df must be in [1, {n_categories}]")
 
     def index(self) -> dict[str, int]:
-        return {d: i for i, d in enumerate(self.descriptors)}
+        return dict(zip(self.descriptors, range(len(self.descriptors))))
+
+
+def _chi_square_grid(n11: np.ndarray, sizes: np.ndarray, freq: np.ndarray,
+                     n: int) -> np.ndarray:
+    """`chi_square` of every (category, descriptor) table at once, as a
+    float64 grid; consumes the int64 `n11` grid.
+
+    Cell (i, j) is N·(n11·N − size·freq)² / (size·(N − size)·freq·(N −
+    freq)) with N = n, size = sizes[i] and freq = freq[j], `chi_square`'s
+    formula over the table's marginals. Each factor is an integer held
+    exactly in float64, and a product rounds only once it passes 2^53, so
+    where the numerator and the denominator are both below 2^53 they are
+    exact and one division rounds their quotient correctly, as
+    `chi_square` does on Python ints: the same bits. The other cells are
+    scored by `chi_square` itself, once per distinct table.
+    """
+    exact = 2 ** 53
+    # An empty marginal zeroes the denominator and the numerator alike;
+    # a factor of 1 in its place scores such a cell 0 / den = 0.
+    size_factor = sizes * (n - sizes)
+    freq_factor = freq * (n - freq)
+    size_factor[size_factor == 0] = 1
+    freq_factor[freq_factor == 0] = 1
+    size = sizes.astype(np.float64)[:, None]
+    scores = np.multiply(n11, n, dtype=np.float64)
+    # n11 is now scores / n; its buffer holds the float work grid
+    work = n11.view(np.float64)
+    np.multiply(size, freq.astype(np.float64), out=work)
+    scores -= work                                   # n11·N − size·freq
+    np.multiply(size_factor.astype(np.float64)[:, None],
+                freq_factor.astype(np.float64), out=work)
+    # |n11·N − size·freq| <= N·size, so past that no cell needs a check
+    inexact = np.empty(0, dtype=np.int64)
+    if (n ** 3 * int(sizes.max()) ** 2 >= exact
+            or int(size_factor.max()) * int(freq_factor.max(initial=1)) >= exact):
+        # N·diff² < 2^53 exactly when |diff| <= isqrt((2^53 - 1) // N)
+        limit = math.isqrt((exact - 1) // n)
+        past = scores > limit
+        past |= scores < -limit
+        past |= work >= exact
+        inexact = np.flatnonzero(past)
+        del past
+        rows, cols = np.divmod(inexact, scores.shape[1])
+        size_of, freq_of = sizes[rows], freq[cols]
+        n11_of = (scores.flat[inexact].astype(np.int64) + size_of * freq_of) // n
+        tables, where = np.unique(np.stack([size_of, n11_of, freq_of], axis=1),
+                                  axis=0, return_inverse=True)
+    np.square(scores, out=scores)
+    scores *= n
+    scores /= work
+    if inexact.size:
+        values = [chi_square(a, s - a, f - a, n - s - f + a)
+                  for s, a, f in tables.tolist()]
+        scores.flat[inexact] = np.asarray(values, dtype=np.float64)[where.ravel()]
+    return scores
 
 
 def select_top_k(
@@ -207,10 +272,15 @@ def select_top_k(
     Association is document presence against category membership. Only
     descriptors with positive scores can be selected, so a category with
     fewer than K positively scoring descriptors contributes all of them.
-    Ties break toward the lexicographically smaller descriptor. Chi-square
-    is computed once per distinct contingency table of the call, not once
-    per pair, so categories of equal size share their scores.
+    Ties break toward the lexicographically smaller descriptor.
     Categories default to the labels in first-appearance order.
+
+    The whole categories x descriptors grid is scored at once from its
+    marginals (`_chi_square_grid`): a cell whose numerator and denominator
+    are both below 2^53 gets `chi_square`'s exact bits from one float64
+    division, and `chi_square` scores the rest, once per distinct table.
+    Each category's top K comes from one `np.partition` of the grid at
+    the K-th largest score and one lexsort of the cells at or above it.
 
     `counts` is `vectors`' raw-count matrix, by default `count_matrix`;
     a row slice of a larger one serves as well, since its columns that
@@ -225,7 +295,7 @@ def select_top_k(
         counts = count_matrix(vectors)
     elif counts.doc_ids != tuple(v.doc_id for v in vectors):
         raise OntoclassError("count matrix rows do not match the documents")
-    elif any(a >= b for a, b in zip(counts.descriptors, counts.descriptors[1:])):
+    elif not all(map(operator.lt, counts.descriptors, counts.descriptors[1:])):
         raise OntoclassError("count matrix columns are not in descriptor order")
     if recorder is not None:
         for doc_id in counts.doc_ids:
@@ -247,57 +317,48 @@ def select_top_k(
     # The count columns the rows hold, in descriptor order, so a score tie
     # goes to the lower column, i.e. the smaller descriptor.
     x = counts.values
-    held = np.unique(x.indices)
-    vocab = [counts.descriptors[c] for c in held.tolist()]
+    held = np.flatnonzero(np.bincount(x.indices, minlength=len(counts.descriptors)))
+    vocab = list(map(counts.descriptors.__getitem__, held.tolist()))
     n_docs, n_rows, n_desc = len(counts.doc_ids), len(row_of), len(vocab)
+    position = np.zeros(len(counts.descriptors), dtype=np.int64)
+    position[held] = np.arange(n_desc)
     n11_grid = np.bincount(
-        np.repeat(doc_rows, np.diff(x.indptr)) * n_desc
-        + np.searchsorted(held, x.indices),
+        np.repeat(doc_rows * n_desc, np.diff(x.indptr)) + position[x.indices],
         minlength=n_rows * n_desc,
     ).reshape(n_rows, n_desc)
     doc_freq = n11_grid.sum(axis=0)
     category_freq = np.count_nonzero(n11_grid, axis=0)
     sizes = np.bincount(doc_rows, minlength=n_rows)
+    scores = _chi_square_grid(n11_grid, sizes, doc_freq, n_docs)
+    del n11_grid  # its buffer goes before np.partition copies the grid
 
-    # A score depends only on (size, n11, doc_freq, n_docs), and categories
-    # of equal size share their tables: key each table by (size rank, n11,
-    # doc_freq), which int64 holds while categories x (n_docs + 1)^2 does,
-    # and score each distinct one of the call once, on Python ints, so
-    # every value is exact.
-    base = n_docs + 1
-    size_values, size_rank = np.unique(sizes, return_inverse=True)
-
-    def table_keys(row: int) -> np.ndarray:
-        return (size_rank[row] * base + n11_grid[row]) * base + doc_freq
-
-    keys = np.unique(np.concatenate(
-        [np.unique(table_keys(row)) for row in range(n_rows)]
-    ))
-    size_list = size_values.tolist()
-    distinct = []
-    for key in keys.tolist():
-        rest, freq = divmod(key, base)
-        rank, n11 = divmod(rest, base)
-        size = size_list[rank]
-        distinct.append(chi_square(n11, size - n11, freq - n11,
-                                   n_docs - size - (freq - n11)))
-    table_scores = np.asarray(distinct, dtype=np.float64)
-    scores = np.empty((n_rows, n_desc), dtype=np.float64)
-    for row in range(n_rows):
-        scores[row] = table_scores[np.searchsorted(keys, table_keys(row))]
+    # Each category's top k: the positive cells at or above its k-th
+    # largest score, ranked by (-score, column), the first k of each row.
+    # No positive score is below the least positive float.
+    floor = np.full(n_rows, np.nextafter(0.0, 1.0))
+    if k < n_desc:
+        np.maximum(floor, np.partition(scores, n_desc - k, axis=1)[:, n_desc - k],
+                   out=floor)
+    rows, cols = np.nonzero(scores >= floor[:, None])
+    # nonzero lists each row's cells by column, and the sort is stable
+    order = np.lexsort((-scores[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    per_row = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(per_row) - per_row
+    rank = np.arange(rows.size) - np.repeat(starts, per_row)
+    top = cols[rank < k].tolist()
+    bounds = [0, *np.cumsum(np.minimum(per_row, k)).tolist()]
 
     selected: dict[str, tuple[str, ...]] = {}
     union: dict[int, None] = {}
     for cat in cats:
-        row_scores = scores[row_of[cat]]
-        positive = np.flatnonzero(row_scores > 0)
-        order = np.lexsort((positive, -row_scores[positive]))
-        chosen = positive[order[:k]].tolist()
-        selected[cat] = tuple(vocab[c] for c in chosen)
+        row = row_of[cat]
+        chosen = top[bounds[row]:bounds[row + 1]]
+        selected[cat] = tuple(map(vocab.__getitem__, chosen))
         union.update(dict.fromkeys(chosen))
 
     return FeatureSpace(
-        descriptors=tuple(vocab[c] for c in union),
+        descriptors=tuple(map(vocab.__getitem__, union)),
         per_category_scores=ScoreTable(row_of, vocab, scores),
         selected=selected,
         df=tuple(category_freq[list(union)].tolist()),
@@ -319,47 +380,59 @@ def build_matrix(
     training counts. Zero weights are dropped. Documents whose descriptors
     were all deselected come out as zero rows (flagged in the log, kept
     in the matrix).
+
+    Each row's norm sums its squared weights in ascending column order,
+    and each row stores its entries in descending column order: the
+    layout `sparse.diags(scale) @ m` gives a canonical `m` on scipy
+    1.17, and the order in which KNN's `q @ train.T` sums its products.
     """
     if weighting not in WEIGHTINGS:
         raise OntoclassError(f"unknown weighting {weighting!r}")
     require_labels(counts)
-    col_of = feature_space.index()
+    n_docs, n_cols = len(counts.doc_ids), len(feature_space.descriptors)
     # each count column's place among the selected descriptors, or -1
-    target = np.array(
-        [col_of.get(d, -1) for d in counts.descriptors], dtype=np.int64
+    target = np.fromiter(
+        map(feature_space.index().get, counts.descriptors, repeat(-1)),
+        dtype=np.int64, count=len(counts.descriptors),
     )
     x = counts.values
     cols = target[x.indices]
+    rows = np.repeat(np.arange(n_docs), np.diff(x.indptr))
     keep = cols >= 0
-    rows = np.repeat(np.arange(len(counts.doc_ids)), np.diff(x.indptr))[keep]
-    cols = cols[keep]
-    data = x.data[keep]
+    rows, cols, data = rows[keep], cols[keep], x.data[keep]
     if weighting == "binary":
         data = np.ones_like(data)
     elif weighting == "tfidf":
+        # ln(n / df) for df = 0, 1, ..., n; no df is 0
         n_categories = len(feature_space.selected)
-        idf = np.array(
-            [tfidf_weight(1, df, n_categories) for df in feature_space.df],
-            dtype=np.float64,
-        )
-        data = data * idf[cols]
+        idf = np.array([0.0] + [tfidf_weight(1, df, n_categories)
+                                for df in range(1, n_categories + 1)])
+        data = data * idf[np.asarray(feature_space.df, dtype=np.int64)[cols]]
     nonzero = data != 0
+    rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
 
-    mat = sparse.csr_matrix(
-        (data[nonzero], (rows[nonzero], cols[nonzero])),
-        shape=(len(counts.doc_ids), len(feature_space.descriptors)),
-        dtype=np.float64,
-    )
-    zero_rows = int(np.count_nonzero(np.diff(mat.indptr) == 0))
+    # rows ascending, each in ascending column order
+    order = np.argsort(rows * n_cols + cols)
+    lens = np.bincount(rows, minlength=n_docs)
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    zero_rows = int(np.count_nonzero(lens == 0))
     if zero_rows:
         log.warning("%d document(s) produced all-zero rows", zero_rows)
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    squares = np.square(data[order])
+    norms = np.zeros(n_docs)
+    nonempty = np.flatnonzero(lens)
+    norms[nonempty] = np.sqrt(np.add.reduceat(squares, indptr[nonempty]))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    mat = sparse.diags(scale) @ mat
+    # then each row reversed, into descending column order, and scaled
+    order = order[np.repeat(indptr[:-1] + indptr[1:] - 1, lens)
+                  - np.arange(order.size)]
+    data = data[order]
+    data *= np.repeat(scale, lens)
+    values = sparse.csr_matrix((data, cols[order], indptr), shape=(n_docs, n_cols))
     return WeightedMatrix(
         doc_ids=counts.doc_ids,
         descriptors=tuple(feature_space.descriptors),
-        values=mat.tocsr(),
+        values=values,
         labels=counts.labels,
     )
 

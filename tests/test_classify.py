@@ -213,6 +213,73 @@ class TestKnnPredict:
         assert knn_predict(model, [1.0, 0.0])[0] == "A"
 
 
+def knn_predict_all_reference(model, queries):
+    """knn_predict_all as it was before query blocks: one dense (queries x
+    training rows) similarity array and a full stable argsort per query."""
+    train = model.matrix.values
+    labels = model.matrix.labels
+    q = queries.values
+    dots = np.asarray((q @ train.T).todense())
+    q_sq = np.asarray(q.multiply(q).sum(axis=1)).ravel()
+    if model.similarity == "cosine":
+        sims = dots
+    else:
+        r_sq = np.asarray(train.multiply(train).sum(axis=1)).ravel()
+        d2 = np.maximum(q_sq[:, None] + r_sq[None, :] - 2.0 * dots, 0.0)
+        sims = -np.sqrt(d2)
+    fallback = classify._majority_class(Counter(labels))
+    zero_rows = (q_sq == 0.0) & (model.similarity == "cosine")
+    out = []
+    for i in range(q.shape[0]):
+        if zero_rows[i]:
+            out.append((fallback, {}))
+            continue
+        order = np.argsort(-sims[i], kind="stable")[: model.k]
+        votes, sum_sim = {}, {}
+        for j in order:
+            cat = labels[j]
+            votes[cat] = votes.get(cat, 0) + 1
+            sum_sim[cat] = sum_sim.get(cat, 0.0) + sims[i, j]
+        winner = min(votes, key=lambda c: (-votes[c], -sum_sim[c], c))
+        out.append((winner, votes))
+    return out
+
+
+# Few distinct values over few columns: most similarities tie, and many
+# are zero, including whole zero rows.
+_cells = st.sampled_from((0.0, 0.0, 0.1, 0.3, 1.0))
+
+
+@st.composite
+def knn_problems(draw):
+    n_cols = draw(st.integers(1, 3))
+    n_train = draw(st.integers(1, 9))
+    train = draw(st.lists(st.lists(_cells, min_size=n_cols, max_size=n_cols),
+                          min_size=n_train, max_size=n_train))
+    queries = draw(st.lists(st.lists(_cells, min_size=n_cols, max_size=n_cols),
+                            min_size=1, max_size=7))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=n_train,
+                           max_size=n_train))
+    return train, labels, queries, draw(st.integers(1, n_train))
+
+
+class TestKnnBlockEquivalence:
+    @given(problem=knn_problems(),
+           similarity=st.sampled_from(("cosine", "euclidean")),
+           cells=st.sampled_from((1, 2, 5, 1 << 16)))
+    @settings(max_examples=200)
+    def test_matches_full_argsort_reference(self, problem, similarity, cells):
+        train, labels, queries, k = problem
+        model = knn_train(make_matrix(train, labels), k=k, similarity=similarity)
+        q = make_matrix(queries, ["?"] * len(queries))
+        with mock.patch.object(classify, "_BLOCK_CELLS", cells):
+            got = knn_predict_all(model, q)
+        want = knn_predict_all_reference(model, q)
+        assert got == want
+        # the same votes, counted in the same neighbor order
+        assert [list(v.items()) for _, v in got] == [list(v.items()) for _, v in want]
+
+
 def entropy_bits(labels):
     n = len(labels)
     return -sum(c / n * math.log2(c / n) for c in Counter(labels).values())

@@ -380,6 +380,65 @@ class TestRepresentationBoundedMemory:
         assert peak < bound * n, f"{peak} bytes at peak for {n} documents"
 
 
+class TestCrossValidationBoundedMemory:
+    """The traced peak of cross-validation alone, from the built count
+    matrix on, at n and 4n documents: it grows no faster than the
+    documents, and stays under a bound per document at 4n, under every
+    classifier. Sizes and bounds are fixed: 500 and 2,000 documents,
+    three folds, growth at most 4x and 4,000 B per document at 2,000.
+
+    On CPython 3.11 with numpy 2.4, `generated_corpus` as stems read
+    (MB at 500 -> MB at 2,000, growth, B per document at 2,000):
+    - KNN over one dense (queries x training rows) array per fold:
+      cosine 1.19 -> 9.42, 7.9x, 4,710 B; euclidean 2.02 -> 23.66,
+      11.7x, 11,829 B;
+    - KNN over blocks of _BLOCK_CELLS cells: cosine 1.74 -> 5.96, 3.4x,
+      2,978 B; euclidean 1.69 -> 5.25, 3.1x, 2,623 B;
+    - C4.5: 1.37 -> 4.52, 3.3x, 2,259 B.
+    """
+
+    @pytest.fixture(scope="class")
+    def represented(self):
+        config = ExperimentConfig(representation="stems", n_folds=3)
+        out = {}
+        for n in (500, 2000):
+            corpus, _ = generated_corpus(n)
+            out[n] = corpus, representation_vectors(corpus, None, config)
+        return out
+
+    @staticmethod
+    def traced_peak(monkeypatch, corpus, vectors, config):
+        """Run the folds over `vectors`; tracing starts once the count
+        matrix is built."""
+        def counted(vs):
+            counts = count_matrix(vs)
+            tracemalloc.start()
+            return counts
+
+        monkeypatch.setattr(evaluate, "representation_vectors",
+                            lambda *args: vectors)
+        monkeypatch.setattr(evaluate, "count_matrix", counted)
+        try:
+            run_experiment(corpus, None, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("classifier", [
+        {"classifier": "knn", "knn_similarity": "cosine"},
+        {"classifier": "knn", "knn_similarity": "euclidean"},
+        {"classifier": "c45"},
+    ], ids=["knn-cosine", "knn-euclidean", "c45"])
+    def test_peak_grows_no_faster_than_documents(self, represented, monkeypatch,
+                                                 classifier):
+        config = ExperimentConfig(representation="stems", n_folds=3, **classifier)
+        small, large = (self.traced_peak(monkeypatch, *represented[n], config)
+                        for n in (500, 2000))
+        assert large <= 4 * small, f"{small} -> {large} bytes at peak"
+        assert large < 4000 * 2000, f"{large} bytes at peak for 2,000 documents"
+
+
 class TestReportRendering:
     def small_report(self):
         return run_experiment(separable_corpus(4), None,

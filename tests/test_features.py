@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -420,33 +421,13 @@ class TestSelectTopKEquivalence:
     def test_large_n_scores_are_correctly_rounded(self):
         # 6,000 documents: N * (ad - bc)^2 passes 2^53, where a float64
         # formula rounds twice and misses the correctly rounded quotient.
-        rng = random.Random(5)
-        sizes = {"X": 3105, "Y": 2895}
+        vecs, sizes, tables = large_n_fixture()
         n = sum(sizes.values())
-        tables = {}
-        terms = {cat: [{} for _ in range(size)] for cat, size in sizes.items()}
-        for j in range(48):
-            # strong associations, alternately with X and with Y
-            if j % 2:
-                n11, n01 = rng.randint(1500, 3000), rng.randint(100, 1200)
-            else:
-                n11, n01 = rng.randint(100, 1200), rng.randint(1500, 2800)
-            tables[f"t:w{j:02d}"] = (n11, n11 + n01)
-            for cat, count in (("X", n11), ("Y", n01)):
-                for i in rng.sample(range(sizes[cat]), count):
-                    terms[cat][i][f"w{j:02d}"] = 1
-        vecs = [
-            hv(f"{cat}{i}", t, label=cat)
-            for cat, docs in terms.items() for i, t in enumerate(docs)
-        ]
         space = select_top_k(vecs, k=7)
 
         float_differs = 0
         for (cat, desc), score in space.per_category_scores.items():
-            n11, freq = tables[desc]
-            a = n11 if cat == "X" else freq - n11
-            b, c = sizes[cat] - a, freq - a
-            d = n - a - b - c
+            a, b, c, d = large_n_cells(sizes, tables, cat, desc)
             num = n * (a * d - b * c) ** 2
             den = (a + b) * (c + d) * (a + c) * (b + d)
             assert score.hex() == float(Fraction(num, den)).hex()
@@ -458,15 +439,43 @@ class TestSelectTopKEquivalence:
         assert space.descriptors == union
 
 
+def large_n_fixture():
+    """6,000 documents in X (3,105) and Y (2,895) over 48 descriptors of
+    strong association; returns the vectors, the category sizes and each
+    descriptor's (documents in X holding it, documents holding it)."""
+    rng = random.Random(5)
+    sizes = {"X": 3105, "Y": 2895}
+    tables = {}
+    terms = {cat: [{} for _ in range(size)] for cat, size in sizes.items()}
+    for j in range(48):
+        # strong associations, alternately with X and with Y
+        if j % 2:
+            n11, n01 = rng.randint(1500, 3000), rng.randint(100, 1200)
+        else:
+            n11, n01 = rng.randint(100, 1200), rng.randint(1500, 2800)
+        tables[f"t:w{j:02d}"] = (n11, n11 + n01)
+        for cat, count in (("X", n11), ("Y", n01)):
+            for i in rng.sample(range(sizes[cat]), count):
+                terms[cat][i][f"w{j:02d}"] = 1
+    vecs = [
+        hv(f"{cat}{i}", t, label=cat)
+        for cat, docs in terms.items() for i, t in enumerate(docs)
+    ]
+    return vecs, sizes, tables
+
+
+def large_n_cells(sizes, tables, cat, desc):
+    """The four cells of `large_n_fixture`'s table for (cat, desc)."""
+    n11, freq = tables[desc]
+    a = n11 if cat == "X" else freq - n11
+    b, c = sizes[cat] - a, freq - a
+    return a, b, c, sum(sizes.values()) - a - b - c
+
+
 class TestSelectTopKWork:
-    def test_chi_square_once_per_distinct_table(self, monkeypatch):
-        # sizes 6, 6, 4, 4 and 2: equal-size categories share tables
-        rng = random.Random(3)
-        vecs = [
-            hv(f"d{i}", {w: 1 for w in rng.sample(_POOL, rng.randint(0, 4))},
-               label=cat)
-            for i, cat in enumerate("VVVVVVWWWWWWXXXXYYYYZZ")
-        ]
+    def counting_chi_square(self, monkeypatch):
+        """Route `features.chi_square` through a counter of the tables,
+        keyed by (category size, n11, documents holding the descriptor)."""
         scored = Counter()
 
         def counting(n11, n10, n01, n00):
@@ -474,21 +483,102 @@ class TestSelectTopKWork:
             return chi_square(n11, n10, n01, n00)
 
         monkeypatch.setattr(features, "chi_square", counting)
+        return scored
+
+    def test_chi_square_not_called_in_exact_range(self, monkeypatch):
+        # sizes 6, 6, 4, 4 and 2: every numerator and denominator is far
+        # below 2^53, so one float64 division scores every cell
+        rng = random.Random(3)
+        vecs = [
+            hv(f"d{i}", {w: 1 for w in rng.sample(_POOL, rng.randint(0, 4))},
+               label=cat)
+            for i, cat in enumerate("VVVVVVWWWWWWXXXXYYYYZZ")
+        ]
+        scored = self.counting_chi_square(monkeypatch)
         space = select_top_k(vecs, k=3)
         monkeypatch.undo()
-
-        presence = {}
-        for v in vecs:
-            for desc in descriptor_counts(v):
-                presence.setdefault(desc, Counter())[v.labels[0]] += 1
-        sizes = Counter(v.labels[0] for v in vecs)
-        tables = {(sizes[cat], by_cat[cat], sum(by_cat.values()))
-                  for cat in sizes for by_cat in presence.values()}
-        assert len(tables) < len(sizes) * len(presence)
-        assert scored == Counter(dict.fromkeys(tables, 1))
+        assert not scored
         scores, selected, _ = select_top_k_reference(vecs, 3)
         assert hex_items(space.per_category_scores) == hex_items(scores)
         assert space.selected == selected
+
+    def test_chi_square_called_once_per_distinct_table_past_2_53(self, monkeypatch):
+        # Each descriptor gets a twin in the same documents, so every table
+        # of large_n_fixture comes up in two cells of each category; its
+        # cells are all past 2^53. Four rare descriptors, each in one
+        # document, give cells in range in the same grid.
+        vecs, sizes, tables = large_n_fixture()
+        vecs = [
+            hv(v.doc_id,
+               {**v.term_part, **{w + "_twin": 1 for w in v.term_part},
+                **({f"rare{i}": 1} if i < 4 else {})},
+               label=v.labels[0])
+            for i, v in enumerate(vecs)
+        ]
+        n = sum(sizes.values())
+        past = Counter()
+        for cat in sizes:
+            for desc in tables:
+                a, b, c, d = large_n_cells(sizes, tables, cat, desc)
+                num = n * (a * d - b * c) ** 2
+                den = (a + b) * (c + d) * (a + c) * (b + d)
+                assert num >= 2 ** 53 or den >= 2 ** 53
+                past[(a + b, a, a + c)] += 2
+        assert all(cells == 2 for cells in past.values())
+        scored = self.counting_chi_square(monkeypatch)
+        space = select_top_k(vecs, k=7)
+        monkeypatch.undo()
+        assert scored == Counter(dict.fromkeys(past, 1))
+        scores, selected, _ = select_top_k_reference(vecs, 7)
+        assert hex_items(space.per_category_scores) == hex_items(scores)
+        assert space.selected == selected
+
+
+@st.composite
+def chi_square_grids(draw):
+    """(n11 grid, category sizes, descriptor frequencies, N): every cell a
+    valid 2x2 table, N up to 10^6 so that numerators and denominators
+    fall on both sides of 2^53."""
+    n = draw(st.integers(1, 10 ** 6))
+    sizes = draw(st.lists(st.integers(0, n), min_size=1, max_size=3))
+    freq = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    n11 = [[draw(st.integers(max(0, size + f - n), min(size, f))) for f in freq]
+           for size in sizes]
+    return n11, sizes, freq, n
+
+
+class TestChiSquareGrid:
+    @given(grid=chi_square_grids())
+    # the numerator alone past 2^53; the denominator alone past 2^53;
+    # a marginal empty in every cell; both below 2^53 in a repeated table
+    @example(grid=([[1500, 623]], [3105], [2857, 2857], 6000))
+    @example(grid=([[4001]], [10000], [8000], 20000))
+    @example(grid=([[0, 0], [3, 5]], [0, 7], [3, 5], 7))
+    @example(grid=([[1, 1], [0, 0]], [2, 3], [1, 1], 5))
+    def test_matches_chi_square_and_calls_it_past_2_53(self, grid):
+        n11, sizes, freq, n = grid
+        tables = [(size, a, f) for size, row in zip(sizes, n11)
+                  for a, f in zip(row, freq)]
+        past = Counter()
+        for size, a, f in tables:
+            if (n * (a * n - size * f) ** 2 >= 2 ** 53
+                    or size * (n - size) * f * (n - f) >= 2 ** 53):
+                past[(size, a, f)] = 1
+        scored = Counter()
+
+        def counting(a, b, c, d):
+            scored[(a + b, a, a + c)] += 1
+            return chi_square(a, b, c, d)
+
+        with mock.patch.object(features, "chi_square", counting):
+            got = features._chi_square_grid(
+                np.array(n11, dtype=np.int64), np.array(sizes, dtype=np.int64),
+                np.array(freq, dtype=np.int64), n,
+            )
+        want = [chi_square(a, size - a, f - a, n - size - f + a)
+                for size, a, f in tables]
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want]
+        assert scored == past
 
 
 def small_matrix_fixture():
@@ -558,6 +648,18 @@ class TestBuildMatrix:
         vecs, space = small_matrix_fixture()
         with pytest.raises(OntoclassError, match="'u1' has no label"):
             build_matrix(count_matrix(vecs + [hv("u1", {"a": 1})]), space)
+
+    def test_rows_store_entries_in_descending_column_order(self):
+        # the order in which KNN's q @ train.T sums each dot product; a
+        # change to it can move report.csv
+        vecs, space = small_matrix_fixture()
+        col = space.index()
+        for weighting in features.WEIGHTINGS:
+            m = build_matrix(count_matrix(vecs), space, weighting=weighting).values
+            assert m.indptr.tolist() == [0, 2, 4, 7]
+            for r, v in enumerate(vecs):
+                want = sorted((col["t:" + t] for t in v.term_part), reverse=True)
+                assert m.indices[m.indptr[r]:m.indptr[r + 1]].tolist() == want
 
     def test_document_without_selected_descriptors_is_zero_row(self, caplog):
         vecs, space = small_matrix_fixture()
