@@ -5,7 +5,6 @@ cross-validation.
 
 from .classify import (
     KnnModel,
-    TreeConfig,
     TreeNode,
     c45_train,
     knn_train,
@@ -46,7 +45,6 @@ from .features import (
 from .mapping import (
     ConceptVector,
     HybridVector,
-    MappingConfig,
     enrich_hyperonyms,
     map_corpus,
     map_document,
@@ -75,13 +73,11 @@ __all__ = [
     "FeatureSpace",
     "HybridVector",
     "KnnModel",
-    "MappingConfig",
     "OntoclassError",
     "Ontology",
     "OntologyError",
     "ParseError",
     "TermVector",
-    "TreeConfig",
     "TreeNode",
     "WeightedMatrix",
     "assign_labels",

@@ -18,13 +18,12 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
+from .config import SIMILARITIES, ExperimentConfig
 from .errors import OntoclassError
 from .features import WeightedMatrix
 
 log = logging.getLogger(__name__)
 
-SIMILARITIES = ("cosine", "euclidean")
-DEFAULT_KNN_K = 5
 PRUNE_CONFIDENCE = 0.25
 #: cells of one block of a dense work array: (candidates x classes) in the
 #: split search, (queries x training rows) in KNN
@@ -37,7 +36,7 @@ class KnnModel:
 
     matrix: WeightedMatrix
     k: int
-    similarity: str = "cosine"
+    similarity: str = ExperimentConfig.knn_similarity
 
     def __post_init__(self):
         if self.similarity not in SIMILARITIES:
@@ -50,7 +49,9 @@ class KnnModel:
 
 
 def knn_train(
-    matrix: WeightedMatrix, k: int = DEFAULT_KNN_K, similarity: str = "cosine"
+    matrix: WeightedMatrix,
+    k: int = ExperimentConfig.knn_k,
+    similarity: str = ExperimentConfig.knn_similarity,
 ) -> KnnModel:
     return KnnModel(matrix=matrix, k=k, similarity=similarity)
 
@@ -69,8 +70,8 @@ def knn_predict_all(
     Neighbors are the k most similar training rows (ties toward the
     earlier row); the winning category has the most votes, with ties
     broken by larger summed similarity, then by name. A zero query under
-    cosine matches nothing and falls back to the training majority class
-    with empty votes; one warning counts them.
+    cosine matches nothing: it is never scored, and falls back to the
+    training majority class with empty votes; one warning counts them.
 
     Queries are scored a block of rows at a time, so that the dense
     (queries x training rows) similarities stay near _BLOCK_CELLS
@@ -92,15 +93,16 @@ def knn_predict_all(
     if not cosine:
         r_sq = np.asarray(train.multiply(train).sum(axis=1)).ravel()
     fallback = _majority_class(Counter(labels))
-    zero_rows = (q_sq == 0.0) & cosine
-    if zero_rows.any():
+    out = [(fallback, {}) for _ in range(q.shape[0])]
+    scored = np.flatnonzero(q_sq) if cosine else np.arange(q.shape[0])
+    if scored.size < len(out):
         log.warning("%d zero query vectors; using majority class %r",
-                    zero_rows.sum(), fallback)
+                    len(out) - scored.size, fallback)
+    q, q_sq = q[scored], q_sq[scored]
 
     n_train = train.shape[0]
     per_block = max(1, _BLOCK_CELLS // max(1, n_train))
-    out: list[tuple[str, dict[str, int]]] = []
-    for a in range(0, q.shape[0], per_block):
+    for a in range(0, scored.size, per_block):
         # distances: the negated similarities, smallest first
         dist = (q[a:a + per_block] @ train_t).toarray()
         if cosine:
@@ -122,11 +124,8 @@ def knn_predict_all(
         neighbors = cols[first].reshape(-1, k).tolist()
         sims = (-dist[rows[first], cols[first]]).reshape(-1, k).tolist()
         for i, row_neighbors, row_sims in zip(
-            range(a, a + len(neighbors)), neighbors, sims
+            scored[a:a + per_block].tolist(), neighbors, sims
         ):
-            if zero_rows[i]:
-                out.append((fallback, {}))
-                continue
             votes: dict[str, int] = {}
             sum_sim: dict[str, float] = {}
             for j, sim in zip(row_neighbors, row_sims):
@@ -134,7 +133,7 @@ def knn_predict_all(
                 votes[cat] = votes.get(cat, 0) + 1
                 sum_sim[cat] = sum_sim.get(cat, 0.0) + sim
             winner = min(votes, key=lambda c: (-votes[c], -sum_sim[c], c))
-            out.append((winner, votes))
+            out[i] = (winner, votes)
     return out
 
 
@@ -145,17 +144,6 @@ def _entropy(counts: np.ndarray) -> float:
         return 0.0
     p = counts[counts > 0] / total
     return float(-(p * np.log2(p)).sum())
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    min_leaf: int = 2
-    max_depth: int | None = None
-    prune: bool = True
-
-    def __post_init__(self):
-        if self.min_leaf < 1:
-            raise OntoclassError(f"min_leaf must be >= 1, got {self.min_leaf}")
 
 
 @dataclass(frozen=True)
@@ -318,8 +306,12 @@ def _best_split(
     return int(cut_col[best]), float(cut_thr[best])
 
 
-def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> TreeNode:
-    """Grow (and optionally prune) a binary decision tree."""
+def c45_train(
+    matrix: WeightedMatrix, config: ExperimentConfig = ExperimentConfig()
+) -> TreeNode:
+    """Grow a binary decision tree no deeper than `tree_max_depth` (0 =
+    unlimited) with at least `tree_min_leaf` rows a leaf, and prune it
+    when `tree_prune` is set."""
     n = matrix.values.shape[0]
     if n == 0:
         raise OntoclassError("empty training matrix")
@@ -338,11 +330,9 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
     def grow(rows: np.ndarray, depth: int) -> TreeNode:
         counts = counts_dict(rows)
         cat = _majority_class(counts)
-        if len(counts) == 1 or (
-            config.max_depth is not None and depth >= config.max_depth
-        ):
+        if len(counts) == 1 or 0 < config.tree_max_depth <= depth:
             return TreeNode(class_counts=counts, category=cat)
-        found = _best_split(x, y, rows, len(cat_names), config.min_leaf)
+        found = _best_split(x, y, rows, len(cat_names), config.tree_min_leaf)
         if found is None:
             return TreeNode(class_counts=counts, category=cat)
         col, thr = found
@@ -358,7 +348,7 @@ def c45_train(matrix: WeightedMatrix, config: TreeConfig = TreeConfig()) -> Tree
         )
 
     tree = grow(np.arange(n), 0)
-    if config.prune:
+    if config.tree_prune:
         tree = prune_tree(tree)
     return tree
 

@@ -12,16 +12,20 @@ import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .classify import SIMILARITIES
-from .corpus import LABEL_POLICIES
 from .errors import ConfigError, open_utf8
-from .features import WEIGHTINGS
-from .mapping import DISAMBIGUATIONS, HYPERONYM_VARIANTS, STRATEGIES
 
+# The allowed values of every enumerated setting. The stage modules that
+# also take these as plain arguments import them from here.
 CORPUS_FORMATS = ("ohsumed", "textdir", "jsonl")
+LABEL_POLICIES = ("first-label", "duplicate")
 ONTOLOGY_FORMATS = ("tsv", "mesh-ascii")
 REPRESENTATIONS = ("stems", "concepts", "concepts_hyperonyms")
+STRATEGIES = ("AddConcept", "ReplaceTerms", "ConceptOnly")
+DISAMBIGUATIONS = ("AllConcepts", "FirstConcept")
+HYPERONYM_VARIANTS = ("additive", "hyponyms-only")
+WEIGHTINGS = ("tfidf", "tf", "binary")
 CLASSIFIERS = ("knn", "c45")
+SIMILARITIES = ("cosine", "euclidean")
 
 
 def _setting(key: str, default, allowed: tuple[str, ...] = (),

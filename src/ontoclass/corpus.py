@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
+from .config import LABEL_POLICIES, ExperimentConfig
 from .errors import OntoclassError, ParseError, open_utf8
 
 log = logging.getLogger(__name__)
@@ -25,8 +26,6 @@ log = logging.getLogger(__name__)
 #: Tags recognised inside a record. Anything else that looks like a tag
 #: line is treated as format drift and rejected loudly.
 KNOWN_TAGS = {".U", ".T", ".W", ".M", ".A", ".S", ".P"}
-
-LABEL_POLICIES = ("first-label", "duplicate")
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ def assign_labels(
     corpus: Corpus,
     label_map: Mapping[str, Sequence[str]],
     categories: Sequence[str] | None = None,
-    policy: str = "first-label",
+    policy: str = ExperimentConfig.label_policy,
 ) -> Corpus:
     """Attach category labels and restrict the corpus to them.
 

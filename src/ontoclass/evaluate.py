@@ -19,13 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import (
-    TreeConfig,
-    c45_predict_all,
-    c45_train,
-    knn_predict_all,
-    knn_train,
-)
+from .classify import c45_predict_all, c45_train, knn_predict_all, knn_train
 from .config import ExperimentConfig
 from .corpus import Corpus
 from .errors import ExperimentError, OntoclassError, ParseError, open_utf8
@@ -36,7 +30,7 @@ from .features import (
     require_labels,
     select_top_k,
 )
-from .mapping import HybridVector, MappingConfig, map_corpus, stems_only
+from .mapping import HybridVector, map_corpus, stems_only
 from .ontology import Ontology
 from .preprocess import load_stoplist, preprocess_corpus
 
@@ -131,17 +125,10 @@ def representation_vectors(
         raise OntoclassError(
             f"representation {config.representation!r} needs an ontology"
         )
-    mcfg = MappingConfig(
-        strategy=config.strategy,
-        disambiguation=config.disambiguation,
-        use_hyperonyms=config.representation == "concepts_hyperonyms",
-        hyperonym_variant=config.hyperonym_variant,
-        use_mesh_annotations=config.use_mesh_annotations,
-    )
     mesh_by_doc = None
     if config.use_mesh_annotations:
         mesh_by_doc = {d.doc_id: d.mesh_annotations for d in corpus.documents}
-    return map_corpus(term_vectors, ontology, mcfg, mesh_by_doc)
+    return map_corpus(term_vectors, ontology, config, mesh_by_doc)
 
 
 def run_experiment(
@@ -216,12 +203,7 @@ def run_experiment(
                                   similarity=config.knn_similarity)
                 predicted = [cat for cat, _ in knn_predict_all(model, test_m)]
             else:
-                tree_cfg = TreeConfig(
-                    min_leaf=config.tree_min_leaf,
-                    max_depth=config.tree_max_depth or None,
-                    prune=config.tree_prune,
-                )
-                tree = c45_train(train_m, tree_cfg)
+                tree = c45_train(train_m, config)
                 predicted = c45_predict_all(tree, test_m)
         except Exception as exc:
             raise ExperimentError(f"fold {fold}: {exc}") from exc

@@ -25,13 +25,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import sparse
 
+from .config import WEIGHTINGS, ExperimentConfig
 from .errors import OntoclassError
 from .mapping import HybridVector
 
 log = logging.getLogger(__name__)
-
-DEFAULT_K = 100
-WEIGHTINGS = ("tfidf", "tf", "binary")
 
 TERM_PREFIX = "t:"
 CONCEPT_PREFIX = "c:"
@@ -262,7 +260,7 @@ def _chi_square_grid(n11: np.ndarray, sizes: np.ndarray, freq: np.ndarray,
 
 def select_top_k(
     vectors: Sequence[HybridVector],
-    k: int = DEFAULT_K,
+    k: int = ExperimentConfig.k_features,
     categories: Sequence[str] | None = None,
     recorder: Recorder | None = None,
     counts: WeightedMatrix | None = None,
@@ -368,7 +366,7 @@ def select_top_k(
 def build_matrix(
     counts: WeightedMatrix,
     feature_space: FeatureSpace,
-    weighting: str = "tfidf",
+    weighting: str = ExperimentConfig.weighting,
 ) -> WeightedMatrix:
     """Weight a raw-count matrix over the selected descriptors;
     L2-normalize rows.

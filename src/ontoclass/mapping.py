@@ -9,15 +9,12 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .config import DISAMBIGUATIONS, HYPERONYM_VARIANTS, ExperimentConfig
 from .errors import OntoclassError, OntologyError
 from .ontology import Ontology, phrase_key
 from .preprocess import TermVector
 
 log = logging.getLogger(__name__)
-
-STRATEGIES = ("AddConcept", "ReplaceTerms", "ConceptOnly")
-DISAMBIGUATIONS = ("AllConcepts", "FirstConcept")
-HYPERONYM_VARIANTS = ("additive", "hyponyms-only")
 
 
 @dataclass(frozen=True)
@@ -52,29 +49,6 @@ class HybridVector:
     labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class MappingConfig:
-    """How documents are mapped into concept space."""
-
-    strategy: str = "AddConcept"
-    disambiguation: str = "AllConcepts"
-    use_hyperonyms: bool = False
-    hyperonym_variant: str = "additive"
-    use_mesh_annotations: bool = False
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise OntoclassError(f"unknown strategy {self.strategy!r}")
-        if self.disambiguation not in DISAMBIGUATIONS:
-            raise OntoclassError(
-                f"unknown disambiguation {self.disambiguation!r}"
-            )
-        if self.hyperonym_variant not in HYPERONYM_VARIANTS:
-            raise OntoclassError(
-                f"unknown hyperonym variant {self.hyperonym_variant!r}"
-            )
-
-
 def _senses(candidates: tuple[str, ...], disamb: str) -> tuple[str, ...]:
     """The candidate concepts one match counts toward: all of them under
     AllConcepts, only the head (most canonical sense) under FirstConcept."""
@@ -82,7 +56,9 @@ def _senses(candidates: tuple[str, ...], disamb: str) -> tuple[str, ...]:
 
 
 def match_phrases(
-    term_vector: TermVector, ontology: Ontology, disamb: str = "AllConcepts"
+    term_vector: TermVector,
+    ontology: Ontology,
+    disamb: str = ExperimentConfig.disambiguation,
 ) -> tuple[ConceptVector, set[str]]:
     """Find concept matches in a stem sequence.
 
@@ -121,7 +97,9 @@ def match_phrases(
 
 
 def enrich_hyperonyms(
-    concepts: ConceptVector, ontology: Ontology, variant: str = "additive"
+    concepts: ConceptVector,
+    ontology: Ontology,
+    variant: str = ExperimentConfig.hyperonym_variant,
 ) -> ConceptVector:
     """Propagate concept frequencies one hierarchy level upward.
 
@@ -151,16 +129,18 @@ def enrich_hyperonyms(
 def map_document(
     term_vector: TermVector,
     ontology: Ontology,
-    config: MappingConfig,
+    config: ExperimentConfig,
     mesh_terms: Sequence[str] = (),
 ) -> HybridVector:
     """Build the document's hybrid representation.
 
     AddConcept keeps every original stem next to the matched concepts;
     ReplaceTerms drops the stems that contributed to a match; ConceptOnly
-    drops all stems. Thesaurus annotation phrases (`mesh_terms`) only
-    contribute when the config opts in; each annotation counts once, and
-    is keyed with the thesaurus's own stoplist.
+    drops all stems. Concepts are enriched with their hyperonyms under the
+    `concepts_hyperonyms` representation. Thesaurus annotation phrases
+    (`mesh_terms`) only contribute when the config opts in; each
+    annotation counts once, and is keyed with the thesaurus's own
+    stoplist.
     """
     concept_vec, consumed = match_phrases(
         term_vector, ontology, config.disambiguation
@@ -176,7 +156,7 @@ def map_document(
                 counts[cid] = counts.get(cid, 0) + 1
     concept_vec = ConceptVector(counts)
 
-    if config.use_hyperonyms:
+    if config.representation == "concepts_hyperonyms":
         concept_vec = enrich_hyperonyms(
             concept_vec, ontology, config.hyperonym_variant
         )
@@ -200,7 +180,7 @@ def map_document(
 def map_corpus(
     term_vectors: Iterable[TermVector],
     ontology: Ontology,
-    config: MappingConfig,
+    config: ExperimentConfig,
     mesh_by_doc: Mapping[str, Sequence[str]] | None = None,
 ) -> list[HybridVector]:
     """Map every document; `mesh_by_doc` supplies annotation phrases."""

@@ -19,14 +19,13 @@ from scipy import sparse
 
 import synthcorpus
 from ontoclass.classify import (
-    TreeConfig,
     c45_predict_all,
     c45_train,
     knn_predict_all,
     knn_train,
 )
 from ontoclass.cli import main
-from ontoclass.config import ExperimentConfig
+from ontoclass.config import STRATEGIES, ExperimentConfig
 from ontoclass.evaluate import (
     make_folds,
     f_measure,
@@ -35,7 +34,7 @@ from ontoclass.evaluate import (
     run_experiment,
 )
 from ontoclass.features import WeightedMatrix, chi_square
-from ontoclass.mapping import STRATEGIES, MappingConfig, map_document
+from ontoclass.mapping import map_document
 from ontoclass.ontology import build_ontology
 from ontoclass.porter import stem
 from ontoclass.preprocess import load_stoplist, preprocess_text, tokenize
@@ -167,7 +166,7 @@ def test_criterion_5_synonyms_merge_to_cf_3_under_every_strategy():
     vector = preprocess_text("case", text, stop)
     for strategy in STRATEGIES:
         mapped = map_document(
-            vector, onto, MappingConfig(strategy=strategy)
+            vector, onto, ExperimentConfig(strategy=strategy)
         )
         assert mapped.concept_part.counts == {"D064": 3}, strategy
 
@@ -176,7 +175,7 @@ def test_criterion_5_synonyms_merge_to_cf_3_under_every_strategy():
     for doc in fx.corpus.documents:
         vec = preprocess_text(doc.doc_id, doc.text, stop)
         dims = [
-            dimensionality(map_document(vec, fx_onto, MappingConfig(strategy=s)))
+            dimensionality(map_document(vec, fx_onto, ExperimentConfig(strategy=s)))
             for s in ("ConceptOnly", "ReplaceTerms", "AddConcept")
         ]
         assert dims[0] <= dims[1] <= dims[2], doc.doc_id
@@ -289,7 +288,7 @@ def test_criterion_8_classifier_sanity():
     assert len({tuple(r) for r in grid_rows}) == 12
     grid_labels = [rng.choice(("A", "B", "C")) for _ in range(12)]
     grid = matrix_from(grid_rows, grid_labels)
-    tree = c45_train(grid, TreeConfig(min_leaf=1, prune=False))
+    tree = c45_train(grid, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
     assert c45_predict_all(tree, grid) == grid_labels
 
     rows8 = [
@@ -303,7 +302,7 @@ def test_criterion_8_classifier_sanity():
         [0.4, 0.95, 0.5],
     ]
     labels8 = ["A", "A", "A", "A", "B", "B", "B", "B"]
-    root = c45_train(matrix_from(rows8, labels8), TreeConfig(min_leaf=2))
+    root = c45_train(matrix_from(rows8, labels8), ExperimentConfig(tree_min_leaf=2))
     expected_col, expected_thr = brute_force_root(
         np.asarray(rows8), labels8, min_leaf=2
     )

@@ -14,7 +14,6 @@ from scipy import sparse
 from ontoclass import classify
 from ontoclass.classify import (
     KnnModel,
-    TreeConfig,
     TreeNode,
     _entropy,
     _extra_errors,
@@ -24,6 +23,7 @@ from ontoclass.classify import (
     knn_train,
     prune_tree,
 )
+from ontoclass.config import ExperimentConfig
 from ontoclass.errors import OntoclassError
 from ontoclass.features import WeightedMatrix
 
@@ -172,6 +172,19 @@ class TestKnnPredict:
                     if r.name == "ontoclass.classify" and r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "3 zero query" in warnings[0].getMessage()
+
+    def test_zero_queries_are_never_scored(self, monkeypatch):
+        rows = [unit(1, 0), unit(2, 1), unit(0, 1)]
+        model = knn_train(make_matrix(rows, ["X", "X", "Y"]), k=1)
+        queries = make_matrix(np.zeros((3, 2)), ["?"] * 3)
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block of zero queries was scored")
+
+        monkeypatch.setattr(np, "partition", no_block)
+        out = knn_predict_all(model, queries)
+        assert out == [("X", {})] * 3
+        assert len({id(votes) for _, votes in out}) == 3
 
     def test_query_in_another_descriptor_space_rejected(self):
         _, _, model = self.fixture()
@@ -334,7 +347,7 @@ def separable_8rows():
 class TestC45:
     def test_pure_input_gives_single_leaf(self):
         m = make_matrix([[0.1, 0.2], [0.3, 0.4]], ["A", "A"])
-        tree = c45_train(m, TreeConfig(min_leaf=1))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1))
         assert tree.is_leaf
         assert tree.category == "A"
         assert tree.class_counts == {"A": 2}
@@ -344,7 +357,7 @@ class TestC45:
         rows = [[rng.random() for _ in range(4)] for _ in range(12)]
         labels = [rng.choice("ABC") for _ in range(12)]
         m = make_matrix(rows, labels)
-        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
         assert c45_predict_all(tree, m) == list(labels)
 
     def test_adjacent_values_are_split_at_the_lower(self):
@@ -352,14 +365,14 @@ class TestC45:
         low, high = 0.5000000000000001, 0.5000000000000002
         assert (low + high) / 2 == high
         m = make_matrix([[low], [high]], ["A", "B"])
-        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
         assert tree.threshold == low
         assert c45_predict_all(tree, m) == ["A", "B"]
 
     def test_root_split_matches_exhaustive_search(self):
         rows, labels = separable_8rows()
         m = make_matrix(rows, labels)
-        tree = c45_train(m, TreeConfig(min_leaf=1, prune=False))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
         x = np.asarray(rows)
         expected = brute_force_root(x, labels, 1)
         assert expected is not None
@@ -378,7 +391,7 @@ class TestC45:
             if len(set(labels)) < 2:
                 continue
             m = make_matrix(rows, labels)
-            tree = c45_train(m, TreeConfig(min_leaf=2, prune=False))
+            tree = c45_train(m, ExperimentConfig(tree_min_leaf=2, tree_prune=False))
             expected = brute_force_root(np.asarray(rows), labels, 2)
             if expected is None:
                 assert tree.is_leaf
@@ -388,20 +401,25 @@ class TestC45:
     def test_deterministic(self):
         rows, labels = separable_8rows()
         m = make_matrix(rows, labels)
-        a = c45_train(m, TreeConfig(min_leaf=1))
-        b = c45_train(m, TreeConfig(min_leaf=1))
+        a = c45_train(m, ExperimentConfig(tree_min_leaf=1))
+        b = c45_train(m, ExperimentConfig(tree_min_leaf=1))
         assert a == b
 
     def test_max_depth_stops_growth(self):
-        rows, labels = separable_8rows()
-        m = make_matrix(rows, labels)
-        tree = c45_train(m, TreeConfig(min_leaf=1, max_depth=0, prune=False))
-        assert tree.is_leaf
+        # three classes along one column: unlimited, the tree is two deep
+        m = make_matrix([[0.1], [0.2], [0.3], [0.4], [0.5], [0.6]],
+                        ["A", "A", "B", "B", "C", "C"])
+        unlimited = ExperimentConfig(tree_min_leaf=1, tree_prune=False)
+        assert c45_train(m, unlimited).node_count() == 5
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_max_depth=1,
+                                             tree_prune=False))
+        assert not tree.is_leaf
+        assert tree.left.is_leaf and tree.right.is_leaf
 
     def test_min_leaf_respected(self):
         rows, labels = separable_8rows()
         m = make_matrix(rows, labels)
-        tree = c45_train(m, TreeConfig(min_leaf=4, prune=False))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=4, tree_prune=False))
 
         def check(node):
             if node.is_leaf:
@@ -419,7 +437,7 @@ class TestC45:
 
     def test_config_validation(self):
         with pytest.raises(OntoclassError):
-            TreeConfig(min_leaf=0)
+            ExperimentConfig(tree_min_leaf=0)
 
 
 class TestPruning:
@@ -439,8 +457,8 @@ class TestPruning:
 
     def test_weak_split_collapses_to_leaf(self):
         m = self.weak_split_matrix()
-        unpruned = c45_train(m, TreeConfig(min_leaf=1, prune=False))
-        pruned = c45_train(m, TreeConfig(min_leaf=1, prune=True))
+        unpruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
+        pruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=True))
         assert not unpruned.is_leaf
         assert pruned.is_leaf
         assert pruned.category == "A"
@@ -453,13 +471,13 @@ class TestPruning:
         labels = [rng.choice("AB") for _ in range(16)]
         fixtures.append(make_matrix(rows, labels))
         for m in fixtures:
-            unpruned = c45_train(m, TreeConfig(min_leaf=1, prune=False))
+            unpruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
             pruned = prune_tree(unpruned)
             assert pruned.node_count() <= unpruned.node_count()
 
     def test_strong_split_survives(self):
         m = make_matrix(*separable_8rows())
-        pruned = c45_train(m, TreeConfig(min_leaf=1, prune=True))
+        pruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=True))
         assert not pruned.is_leaf
         assert c45_predict_all(pruned, m) == list(m.labels)
 
@@ -600,10 +618,11 @@ def dense_c45_train(matrix, config):
         counts = {cat_names[i]: int(bc[i]) for i in range(len(cat_names)) if bc[i]}
         cat = min(counts, key=lambda c: (-counts[c], c))
         if len(counts) == 1 or (
-            config.max_depth is not None and depth >= config.max_depth
+            config.tree_max_depth and depth >= config.tree_max_depth
         ):
             return TreeNode(class_counts=counts, category=cat)
-        found = dense_best_split(x[rows], y[rows], len(cat_names), config.min_leaf)
+        found = dense_best_split(x[rows], y[rows], len(cat_names),
+                                 config.tree_min_leaf)
         if found is None:
             return TreeNode(class_counts=counts, category=cat)
         col, thr = found
@@ -615,7 +634,7 @@ def dense_c45_train(matrix, config):
         )
 
     tree = grow(np.arange(x.shape[0]), 0)
-    return reference_prune_tree(tree) if config.prune else tree
+    return reference_prune_tree(tree) if config.tree_prune else tree
 
 
 def assert_same_tree(got, want, path="root"):
@@ -648,10 +667,10 @@ def _tree_inputs(draw):
                            min_size=n_rows, max_size=n_rows))
     queries = draw(st.lists(st.lists(_cell, min_size=n_cols, max_size=n_cols),
                             max_size=6))
-    config = TreeConfig(
-        min_leaf=draw(st.integers(1, 4)),
-        max_depth=draw(st.one_of(st.none(), st.integers(1, 3))),
-        prune=draw(st.booleans()),
+    config = ExperimentConfig(
+        tree_min_leaf=draw(st.integers(1, 4)),
+        tree_max_depth=draw(st.integers(0, 3)),
+        tree_prune=draw(st.booleans()),
     )
     m = make_matrix(rows, [f"c{lab}" for lab in labels])
     q = sparse.csr_matrix(np.asarray(queries, dtype=np.float64).reshape(-1, n_cols))
@@ -723,7 +742,7 @@ class TestSparseSplitEquivalence:
                     for _ in range(n_rows)]
             labels = [f"c{rng.randrange(n_classes)}" for _ in range(n_rows)]
             m = make_matrix(rows, labels)
-            config = TreeConfig(min_leaf=1, prune=False)
+            config = ExperimentConfig(tree_min_leaf=1, tree_prune=False)
             assert_same_tree(c45_train(m, config), dense_c45_train(m, config),
                              f"seed {seed}")
 
@@ -742,7 +761,7 @@ class TestSparseSplitEquivalence:
         values = sparse.csr_matrix((data, indices, indptr), shape=(6, 3))
         assert not values.has_canonical_format
         odd = WeightedMatrix(dense.doc_ids, dense.descriptors, values, dense.labels)
-        config = TreeConfig(min_leaf=1, prune=False)
+        config = ExperimentConfig(tree_min_leaf=1, tree_prune=False)
         tree = c45_train(odd, config)
         assert_same_tree(tree, dense_c45_train(dense, config))
         assert not tree.is_leaf
@@ -803,7 +822,7 @@ class TestC45BoundedMemory:
         array_bytes = values.nnz * n_classes * 8
         tracemalloc.start()
         try:
-            c45_train(m, TreeConfig(max_depth=1, prune=False))
+            c45_train(m, ExperimentConfig(tree_max_depth=1, tree_prune=False))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,7 +24,7 @@ from ontoclass.evaluate import (
     write_report,
 )
 from ontoclass.features import count_matrix
-from ontoclass.mapping import MappingConfig, map_document
+from ontoclass.mapping import map_document
 from ontoclass.ontology import build_ontology
 from ontoclass.preprocess import load_stoplist, preprocess_text
 
@@ -307,7 +307,7 @@ class TestMeshAnnotations:
         run_experiment(corpus, onto, config)
         vectors = representation_vectors(corpus, onto, config)
 
-        mcfg = MappingConfig(use_mesh_annotations=True)
+        mcfg = ExperimentConfig(use_mesh_annotations=True)
         expected = [
             map_document(preprocess_text(d.doc_id, d.text, stopwords, d.labels),
                          onto, mcfg, d.mesh_annotations)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ontoclass.errors import OntoclassError, OntologyError
+from ontoclass.config import ExperimentConfig
+from ontoclass.errors import ConfigError, OntoclassError, OntologyError
 from ontoclass.mapping import (
     DISAMBIGUATIONS,
     ConceptVector,
-    MappingConfig,
     enrich_hyperonyms,
     map_corpus,
     map_document,
@@ -234,7 +234,7 @@ class TestMatchPhrasesWork:
 class TestMapDocument:
     def figure_parts(self, strategy):
         onto = appendicitis_ontology()
-        config = MappingConfig(strategy=strategy)
+        config = ExperimentConfig(strategy=strategy)
         return map_document(doc_vector(FIGURE_TEXT), onto, config)
 
     def test_add_concept_keeps_all_terms(self):
@@ -260,14 +260,14 @@ class TestMapDocument:
 
     def test_empty_document_maps_to_empty_vector(self):
         onto = appendicitis_ontology()
-        hv = map_document(doc_vector(""), onto, MappingConfig())
+        hv = map_document(doc_vector(""), onto, ExperimentConfig())
         assert hv.term_part == {}
         assert hv.concept_part.counts == {}
 
     def test_replace_terms_without_matches_keeps_original(self):
         onto = appendicitis_ontology()
         vec = doc_vector("zebra zebra crossing")
-        hv = map_document(vec, onto, MappingConfig(strategy="ReplaceTerms"))
+        hv = map_document(vec, onto, ExperimentConfig(strategy="ReplaceTerms"))
         assert hv.term_part == dict(vec.counts)
         assert hv.concept_part.counts == {}
 
@@ -277,7 +277,7 @@ class TestMapDocument:
         # by "temperature", so the two-stem key never matches
         onto = cold_ontology()
         vec = doc_vector("temperature temperature zebra cold cold cold cold")
-        config = MappingConfig(strategy="ReplaceTerms",
+        config = ExperimentConfig(strategy="ReplaceTerms",
                                disambiguation="FirstConcept")
         hv = map_document(vec, onto, config)
         total = sum(hv.term_part.values()) + hv.concept_part.total()
@@ -288,13 +288,14 @@ class TestMapDocument:
         vec = doc_vector("cold temperature cold weather cold")
         totals = {}
         for disamb in ("AllConcepts", "FirstConcept"):
-            hv = map_document(vec, onto, MappingConfig(disambiguation=disamb))
+            hv = map_document(vec, onto, ExperimentConfig(disambiguation=disamb))
             totals[disamb] = hv.concept_part.total()
         assert totals["AllConcepts"] >= totals["FirstConcept"]
 
     def test_deterministic(self):
         onto = cold_ontology()
-        config = MappingConfig(strategy="ReplaceTerms", use_hyperonyms=True)
+        config = ExperimentConfig(strategy="ReplaceTerms",
+                                  representation="concepts_hyperonyms")
         a = map_document(doc_vector("cold appendiceal cold"), onto, config)
         b = map_document(doc_vector("cold appendiceal cold"), onto, config)
         assert a == b
@@ -302,7 +303,7 @@ class TestMapDocument:
     def test_labels_carried_through(self):
         onto = appendicitis_ontology()
         vec = doc_vector(FIGURE_TEXT, labels=("C14",))
-        hv = map_document(vec, onto, MappingConfig())
+        hv = map_document(vec, onto, ExperimentConfig())
         assert hv.labels == ("C14",)
 
 
@@ -357,9 +358,10 @@ class TestHyperonyms:
     def test_map_document_applies_enrichment(self):
         onto = chain_ontology()
         vec = doc_vector("fractures and sprains after maladies")
-        plain = map_document(vec, onto, MappingConfig(strategy="ConceptOnly"))
+        plain = map_document(vec, onto, ExperimentConfig(strategy="ConceptOnly"))
         rich = map_document(
-            vec, onto, MappingConfig(strategy="ConceptOnly", use_hyperonyms=True)
+            vec, onto, ExperimentConfig(strategy="ConceptOnly",
+                                        representation="concepts_hyperonyms")
         )
         assert plain.concept_part.counts == {"A": 1, "B": 1, "C": 1}
         assert rich.concept_part.counts == {"A": 3, "B": 1, "C": 1}
@@ -369,14 +371,14 @@ class TestMeshAnnotations:
     def test_annotations_ignored_by_default(self):
         onto = appendicitis_ontology()
         hv = map_document(
-            doc_vector("patient history"), onto, MappingConfig(),
+            doc_vector("patient history"), onto, ExperimentConfig(),
             mesh_terms=("Appendicitis",),
         )
         assert hv.concept_part.counts == {}
 
     def test_annotations_count_once_when_enabled(self):
         onto = appendicitis_ontology()
-        config = MappingConfig(use_mesh_annotations=True)
+        config = ExperimentConfig(use_mesh_annotations=True)
         hv = map_document(
             doc_vector("patient history"), onto, config,
             mesh_terms=("Appendicitis", "Nonexistent Heading"),
@@ -385,7 +387,7 @@ class TestMeshAnnotations:
 
     def test_annotations_add_to_text_matches(self):
         onto = appendicitis_ontology()
-        config = MappingConfig(use_mesh_annotations=True)
+        config = ExperimentConfig(use_mesh_annotations=True)
         hv = map_document(
             doc_vector(FIGURE_TEXT), onto, config,
             mesh_terms=("Appendicitis",),
@@ -399,7 +401,7 @@ class TestMeshAnnotations:
         onto = build_ontology(rows, load_stoplist() | {"acute"})
         out = map_corpus(
             [TermVector("d", ("patient",))], onto,
-            MappingConfig(use_mesh_annotations=True),
+            ExperimentConfig(use_mesh_annotations=True),
             {"d": ("Acute Appendicitis",)},
         )
         assert out[0].concept_part.counts == {"D1": 1}
@@ -410,14 +412,14 @@ class TestMapCorpus:
         onto = appendicitis_ontology()
         vecs = [doc_vector("appendicitis", doc_id="a"),
                 doc_vector("zebra", doc_id="b")]
-        out = map_corpus(vecs, onto, MappingConfig())
+        out = map_corpus(vecs, onto, ExperimentConfig())
         assert [hv.doc_id for hv in out] == ["a", "b"]
         assert out[0].concept_part.counts == {"D064": 1}
         assert out[1].concept_part.counts == {}
 
     def test_mesh_routing_by_doc_id(self):
         onto = appendicitis_ontology()
-        config = MappingConfig(strategy="ConceptOnly", use_mesh_annotations=True)
+        config = ExperimentConfig(strategy="ConceptOnly", use_mesh_annotations=True)
         vecs = [doc_vector("patient", doc_id="a"),
                 doc_vector("patient", doc_id="b")]
         out = map_corpus(vecs, onto, config,
@@ -431,7 +433,7 @@ class TestMapCorpus:
                 doc_vector("zebra", doc_id="b"),
                 doc_vector("", doc_id="c")]
         with caplog.at_level(logging.INFO, logger="ontoclass.mapping"):
-            map_corpus(vecs, onto, MappingConfig())
+            map_corpus(vecs, onto, ExperimentConfig())
         assert ("mapping: 3 documents, 2 concept occurrences, 2 documents "
                 "with no concept") in caplog.text
 
@@ -445,13 +447,14 @@ class TestVectorTypes:
             ConceptVector({"A": -1})
 
     def test_bad_strategy_rejected(self):
-        with pytest.raises(OntoclassError):
-            MappingConfig(strategy="Merge")
-        with pytest.raises(OntoclassError):
-            MappingConfig(disambiguation="Best")
-        with pytest.raises(OntoclassError,
-                           match="unknown hyperonym variant 'transitive'"):
-            MappingConfig(hyperonym_variant="transitive")
+        with pytest.raises(ConfigError, match="^mapping.strategy: "):
+            ExperimentConfig(strategy="Merge")
+        with pytest.raises(ConfigError, match="^mapping.disambiguation: "):
+            ExperimentConfig(disambiguation="Best")
+        with pytest.raises(ConfigError,
+                           match="^mapping.hyperonym_variant: invalid value "
+                                 "'transitive'"):
+            ExperimentConfig(hyperonym_variant="transitive")
 
     def test_stems_only_passthrough(self):
         vec = doc_vector(FIGURE_TEXT, labels=("C01",))

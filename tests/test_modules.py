@@ -1,6 +1,7 @@
 """Package-wide rules that no single module's tests can see."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import ontoclass
@@ -329,3 +330,58 @@ def test_reexport_reader_sees_relative_imports_only(tmp_path):
         encoding="utf-8",
     )
     assert reexported_names(path) == ["one", "second", "three"]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that one file imports from."""
+    return {
+        node.module or "."
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+
+
+def allowed_value_names(path: Path) -> set[str]:
+    """Module-level names that one file binds to a tuple of strings."""
+    return {
+        name
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Tuple)
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in stmt.value.elts)
+        for name in defined_names(stmt)
+    }
+
+
+def test_allowed_values_live_in_config_alone():
+    config = ontoclass.config
+    assert package_imports(PACKAGE_DIR / "config.py") == {"errors"}
+    names = allowed_value_names(PACKAGE_DIR / "config.py")
+    assert {"STRATEGIES", "DISAMBIGUATIONS", "HYPERONYM_VARIANTS", "SIMILARITIES",
+            "WEIGHTINGS", "LABEL_POLICIES"} <= names
+    tuples = [getattr(config, name) for name in names]
+    for setting in fields(config.ExperimentConfig):
+        allowed = setting.metadata.get("allowed")
+        assert not allowed or any(allowed is t for t in tuples), setting.name
+    bound_elsewhere = [
+        f"{path.name}:{stmt.lineno} {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "config.py"
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in defined_names(stmt) if name in names
+    ]
+    assert bound_elsewhere == []
+
+
+def test_layout_readers_see_relative_imports_and_string_tuples(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .errors import ConfigError\n"
+        "from . import corpus\n"
+        "from os import path\n"
+        "KINDS = ('a', 'b')\n"
+        "SIZES = (1, 2)\n"
+        "EMPTY: tuple = ()\n",
+        encoding="utf-8",
+    )
+    assert package_imports(path) == {"errors", "."}
+    assert allowed_value_names(path) == {"KINDS"}
