@@ -1,7 +1,7 @@
 """Command-line driver: ingest -> ontology-check -> map -> select ->
 evaluate -> report. Each stage reads the configured inputs; of the files
 the stages write, only `corpus.jsonl` (as a `jsonl` corpus) and
-`report.csv` are read back.
+`report.txt` are read back.
 
 Exit status 0 on success, 2 for configuration problems (the offending
 field is named), 1 for runtime failures.
@@ -24,9 +24,8 @@ from .corpus import (
     parse_textdir,
     save_corpus_jsonl,
 )
-from .errors import ConfigError, OntoclassError
+from .errors import ConfigError, OntoclassError, open_utf8
 from .evaluate import (
-    read_report_csv,
     render_table,
     representation_vectors,
     run_experiment,
@@ -116,10 +115,24 @@ def _cmd_ontology_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _inputs(config: ExperimentConfig):
-    """The labeled corpus, and the ontology unless the run uses stems,
-    which need no thesaurus."""
+def _require_labels(corpus) -> None:
+    """Reject a corpus with no category list, and a category that no
+    document carries, which would score F = 0 unseen."""
+    if not corpus.categories:
+        raise ConfigError("corpus.label_map", "labeled corpus required")
+    carried = {label for doc in corpus.documents for label in doc.labels}
+    for cat in corpus.categories:
+        if cat not in carried:
+            raise ConfigError("corpus.categories", f"no document labeled {cat!r}")
+
+
+def _inputs(config: ExperimentConfig, labeled: bool = True):
+    """The corpus, checked by `_require_labels` unless `labeled` is
+    false, and the ontology unless the run uses stems, which need no
+    thesaurus."""
     corpus = _load_labeled_corpus(config)
+    if labeled:
+        _require_labels(corpus)
     if config.representation == "stems":
         return corpus, None
     return corpus, _load_ontology(config)
@@ -127,7 +140,7 @@ def _inputs(config: ExperimentConfig):
 
 def _cmd_map(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    vectors = representation_vectors(*_inputs(config), config)
+    vectors = representation_vectors(*_inputs(config, labeled=False), config)
     matrix = count_matrix(vectors)
     out = _out_dir(config) / "vectors.mtx"
     save_matrix(matrix, out)
@@ -139,8 +152,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _require_config(args)
     corpus, ontology = _inputs(config)
-    if not corpus.categories:
-        raise ConfigError("corpus.label_map", "labeled corpus required for select")
     vectors = representation_vectors(corpus, ontology, config)
     space = select_top_k(
         vectors, k=config.k_features, categories=corpus.categories
@@ -168,11 +179,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    path = Path(args.report) if args.report else _out_dir(config) / "report.csv"
+    path = _out_dir(config) / "report.txt"
     if not path.exists():
-        raise OntoclassError(f"no cached report at {path}; run evaluate first")
-    report = read_report_csv(path)
-    print(render_table(report), end="")
+        raise OntoclassError(f"no report at {path}; run evaluate first")
+    with open_utf8(path) as fh:
+        print(fh.read(), end="")
     return 0
 
 
@@ -213,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("evaluate", _cmd_evaluate, "run cross-validation and write the report")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads for fold evaluation (default 1)")
-    p = add("report", _cmd_report, "render a cached report")
-    p.add_argument("--report", help="report CSV (default: <output_dir>/report.csv)")
+    add("report", _cmd_report, "print the table that evaluate wrote")
     return parser
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .classify import c45_predict_all, c45_train, knn_predict_all, knn_train
 from .config import ExperimentConfig
 from .corpus import Corpus
-from .errors import ExperimentError, OntoclassError, ParseError, open_utf8
+from .errors import ExperimentError, OntoclassError
 from .features import (
     WeightedMatrix,
     build_matrix,
@@ -292,57 +292,3 @@ def write_report(report: EvalReport, out_dir: str | Path) -> tuple[Path, Path]:
     csv_path.write_text(report_to_csv(report), encoding="utf-8")
     txt_path.write_text(render_table(report), encoding="utf-8")
     return csv_path, txt_path
-
-
-def read_report_csv(path: str | Path) -> EvalReport:
-    """Rebuild a report from its CSV rendering; a malformed row raises
-    ParseError with its line number."""
-    echo: list[tuple[str, str]] = []
-    data_lines: list[str] = []
-    line_numbers: list[int] = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("# "):
-                key, _, value = line[2:].rstrip("\n").partition(" = ")
-                echo.append((key, value))
-            else:
-                data_lines.append(line)
-                line_numbers.append(lineno)
-    reader = csv.reader(data_lines)
-    header = next(reader, None)
-    if header != list(_CSV_COLUMNS):
-        raise ParseError("unrecognized report header",
-                         line_numbers[0] if line_numbers else 1)
-
-    pooled: list[CategoryMetrics] = []
-    macro_f: float | None = None
-    folds: dict[int, list[CategoryMetrics]] = {}
-    for row in reader:
-        lineno = line_numbers[reader.line_num - 1]
-        if len(row) != len(_CSV_COLUMNS):
-            raise ParseError(
-                f"expected {len(_CSV_COLUMNS)} fields, got {len(row)}", lineno
-            )
-        try:
-            if row[0] == "pooled" and row[1] == "AvG":
-                macro_f = float(row[7])
-                continue
-            m = CategoryMetrics(
-                category=row[1], tp=int(row[2]), fp=int(row[3]), fn=int(row[4]),
-                precision=float(row[5]), recall=float(row[6]),
-                f_measure=float(row[7]),
-            )
-            if row[0] == "pooled":
-                pooled.append(m)
-            else:
-                folds.setdefault(int(row[0]), []).append(m)
-        except ValueError as exc:
-            raise ParseError(f"bad report row: {exc}", lineno) from None
-    if not pooled or macro_f is None:
-        raise ParseError("report has no pooled rows", 2)
-    return EvalReport(
-        per_category=tuple(pooled),
-        macro_f=macro_f,
-        config_echo=tuple(echo),
-        per_fold=tuple(tuple(folds[i]) for i in sorted(folds)),
-    )

@@ -351,25 +351,62 @@ class TestExitCodes:
                            "document 'root' has no label\n")
         assert not (tmp_path / "out" / "report.csv").exists()
 
-    @pytest.mark.parametrize("bad_row", [
-        "x,Heart Disease,1,0,0,1.0,1.0,1.0",
-        "0,Heart Disease,one,0,0,1.0,1.0,1.0",
-        "0,Heart Disease,1,0",
-    ])
-    def test_malformed_report_exits_1_naming_line(self, workspace, capsys,
-                                                  bad_row):
+    def test_non_utf8_report_exits_1_naming_file(self, workspace, capsys):
         assert run(workspace, "evaluate") == 0
-        path = workspace / "out" / "report.csv"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        target = next(i for i, line in enumerate(lines) if line.startswith("0,"))
-        lines[target] = bad_row
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = workspace / "out" / "report.txt"
+        path.write_bytes(path.read_bytes() + "Caf\xe9\n".encode("latin-1"))
         capsys.readouterr()
         assert run(workspace, "report") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error [report] ParseError: ")
-        assert f"line {target + 1}" in err
+        assert err.startswith("error [report] ParseError:")
+        assert "report.txt: not UTF-8 (byte 0xe9)" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_unlabeled_corpus_exits_2_before_the_thesaurus(
+        self, workspace, capsys, command
+    ):
+        # a thesaurus that does not parse: loading it would exit 1
+        (workspace / "onto.tsv").write_text("D100\n", encoding="utf-8")
+        ini = INI.replace("label_map = labels.tsv\n", "")
+        (workspace / "unlabeled.ini").write_text(ini, encoding="utf-8")
+        assert run(workspace, command, config="unlabeled.ini") == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: corpus.label_map: "
+                       "labeled corpus required\n")
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_category_with_no_document_exits_2_naming_it(
+        self, workspace, capsys, command
+    ):
+        ini = INI.replace("label_map = labels.tsv\n",
+                          "label_map = labels.tsv\ncategories = Heart Disease; "
+                          "Renal Disease; Lung Disease\n")
+        (workspace / "unseen.ini").write_text(ini, encoding="utf-8")
+        assert run(workspace, command, config="unseen.ini") == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: corpus.categories: "
+                       "no document labeled 'Lung Disease'\n")
+        assert not (workspace / "out").exists()
+
+    def test_cached_category_with_no_document_exits_2_naming_it(
+        self, workspace, capsys
+    ):
+        assert run(workspace, "ingest") == 0
+        cache = workspace / "out" / "corpus.jsonl"
+        cache.write_text(cache.read_text(encoding="utf-8").replace(
+            '"Renal Disease"]', '"Renal Disease", "Lung Disease"]', 1),
+            encoding="utf-8")
+        ini = INI.replace("path = corpus.txt\nformat = ohsumed\n"
+                          "label_map = labels.tsv\n",
+                          "path = out/corpus.jsonl\nformat = jsonl\n")
+        (workspace / "cached.ini").write_text(ini, encoding="utf-8")
+        capsys.readouterr()
+        assert run(workspace, "evaluate", config="cached.ini") == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: corpus.categories: "
+                       "no document labeled 'Lung Disease'\n")
+        assert not (workspace / "out" / "report.csv").exists()
 
     def test_env_var_supplies_config(self, workspace, monkeypatch, capsys):
         monkeypatch.setenv(CONFIG_ENV, str(workspace / "exp.ini"))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import logging
 import random
@@ -10,13 +11,12 @@ import synthcorpus
 from ontoclass import evaluate
 from ontoclass.config import ExperimentConfig
 from ontoclass.corpus import Corpus, Document, assign_labels
-from ontoclass.errors import ExperimentError, OntoclassError, ParseError
+from ontoclass.errors import ExperimentError, OntoclassError
 from ontoclass.evaluate import (
     CategoryMetrics,
     EvalReport,
     f_measure,
     make_folds,
-    read_report_csv,
     render_table,
     report_to_csv,
     representation_vectors,
@@ -444,12 +444,40 @@ class TestReportRendering:
         return run_experiment(separable_corpus(4), None,
                               stems_config(n_folds=2))
 
-    def test_csv_round_trip(self, tmp_path):
-        report = self.small_report()
-        path = tmp_path / "report.csv"
-        path.write_text(report_to_csv(report), encoding="utf-8")
-        back = read_report_csv(path)
-        assert back == report
+    def test_csv_round_trip(self):
+        # the echo, every count and every float read back exactly, thirds
+        # and a category name with a comma in it included
+        def metrics(cat, tp, fp, fn):
+            return CategoryMetrics.from_counts(cat, tp, fp, fn)
+
+        pooled = (metrics("Heart", 1, 2, 5), metrics("Renal, Chronic", 2, 1, 1))
+        report = EvalReport(
+            per_category=pooled,
+            macro_f=sum(m.f_measure for m in pooled) / 2,
+            config_echo=(("corpus.path", "corpus.txt"), ("features.k", "42")),
+            per_fold=((metrics("Heart", 1, 1, 2), metrics("Renal, Chronic", 1, 1, 0)),
+                      (metrics("Heart", 0, 1, 3), metrics("Renal, Chronic", 1, 0, 1))),
+        )
+        lines = report_to_csv(report).splitlines()
+        echo = [tuple(line[2:].split(" = ", 1)) for line in lines
+                if line.startswith("# ")]
+        assert echo == list(report.config_echo)
+        rows = list(csv.reader(line for line in lines if not line.startswith("# ")))
+        got = [(fold, cat, *(int(n) if n else None for n in (tp, fp, fn)),
+                float(p), float(r), float(f))
+               for fold, cat, tp, fp, fn, p, r, f in rows[1:]]
+
+        def row(fold, m):
+            return (fold, m.category, m.tp, m.fp, m.fn,
+                    m.precision, m.recall, m.f_measure)
+
+        avg = ("pooled", "AvG", None, None, None,
+               sum(m.precision for m in pooled) / len(pooled),
+               sum(m.recall for m in pooled) / len(pooled), report.macro_f)
+        assert got == ([row("pooled", m) for m in pooled] + [avg]
+                       + [row(str(fold), m)
+                          for fold, metrics in enumerate(report.per_fold)
+                          for m in metrics])
 
     def test_csv_has_pooled_avg_and_fold_rows(self):
         text = report_to_csv(self.small_report())
@@ -471,27 +499,6 @@ class TestReportRendering:
         csv_path, txt_path = write_report(report, tmp_path / "out")
         assert csv_path.read_text().startswith("# corpus.path = ")
         assert txt_path.read_text().startswith("category")
-
-    def test_reader_rejects_foreign_csv(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-        with pytest.raises(ParseError):
-            read_report_csv(path)
-
-    @pytest.mark.parametrize("bad_row, damage", [
-        ("x,A,1,0,0,1.0,1.0,1.0", "a fold that is not a number"),
-        ("0,A,one,0,0,1.0,1.0,1.0", "a count that is not a number"),
-        ("0,A,1,0", "four fields"),
-    ])
-    def test_malformed_row_names_its_line(self, tmp_path, bad_row, damage):
-        lines = report_to_csv(self.small_report()).splitlines()
-        target = next(i for i, line in enumerate(lines) if line.startswith("0,"))
-        lines[target] = bad_row
-        path = tmp_path / "report.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError) as err:
-            read_report_csv(path)
-        assert err.value.line == target + 1, damage
 
 
 class TestReportBytesPinned:

@@ -9,12 +9,6 @@ from hypothesis import strategies as st
 from ontoclass.config import load_config
 from ontoclass.corpus import load_corpus_jsonl, load_label_map, load_ohsumed
 from ontoclass.errors import OntoclassError
-from ontoclass.evaluate import (
-    CategoryMetrics,
-    EvalReport,
-    read_report_csv,
-    report_to_csv,
-)
 from ontoclass.ontology import import_mesh_ascii, load_ontology
 from ontoclass.preprocess import load_stoplist
 
@@ -115,20 +109,6 @@ output_dir = results
 """
 
 
-def _report_csv() -> str:
-    def metrics(cat, tp, fp, fn):
-        return CategoryMetrics.from_counts(cat, tp, fp, fn)
-
-    pooled = (metrics("Heart", 3, 1, 1), metrics("Renal, Chronic", 2, 1, 1))
-    return report_to_csv(EvalReport(
-        per_category=pooled,
-        macro_f=sum(m.f_measure for m in pooled) / 2,
-        config_echo=(("corpus.path", "corpus.txt"), ("features.k", "42")),
-        per_fold=((metrics("Heart", 2, 0, 1), metrics("Renal, Chronic", 1, 1, 0)),
-                  (metrics("Heart", 1, 1, 0), metrics("Renal, Chronic", 1, 0, 1))),
-    ))
-
-
 LOADERS = {
     "parse_ohsumed": (load_ohsumed, OHSUMED),
     "load_corpus_jsonl": (load_corpus_jsonl, JSONL),
@@ -136,7 +116,6 @@ LOADERS = {
     "load_ontology": (load_ontology, ONTOLOGY_TSV),
     "import_mesh_ascii": (import_mesh_ascii, MESH_ASCII),
     "load_config": (load_config, CONFIG),
-    "read_report_csv": (read_report_csv, _report_csv()),
 }
 
 #: Pieces that mean something to one of the formats, plus bytes that are
