@@ -65,12 +65,15 @@ def _load_labeled_corpus(config: ExperimentConfig):
             categories=config.categories or None,
             policy=config.label_policy,
         )
-    elif config.categories and config.corpus_format != "ohsumed":
-        # textdir and jsonl documents carry their own labels
+    elif config.corpus_format != "ohsumed" and (
+            config.categories or any(len(d.labels) > 1 for d in corpus.documents)):
+        # textdir and jsonl documents carry their own labels; several on
+        # one document are resolved per label_policy, as a label map's are
         own_labels = {d.doc_id: d.labels for d in corpus.documents if d.labels}
         corpus = assign_labels(
             corpus, own_labels,
-            categories=config.categories, policy=config.label_policy,
+            categories=config.categories or corpus.categories,
+            policy=config.label_policy,
         )
     return corpus
 

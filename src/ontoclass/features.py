@@ -95,10 +95,10 @@ def require_labels(counts: WeightedMatrix) -> None:
 def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     """Raw descriptor counts, one row per document.
 
-    Columns are in descriptor (string) order; each row keeps its entries
-    in the vector's own order, stems before concepts, which fixes the
-    order of the float sums downstream. An unlabeled document gets the
-    label "".
+    Columns are in descriptor (string) order; each row holds its entries
+    in the vector's own order, stems before concepts, and no score or
+    weight downstream depends on that order. An unlabeled document gets
+    the label "".
     """
     stems: set[str] = set()
     concepts: set[str] = set()

@@ -19,16 +19,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ConceptVector:
-    """Sparse concept frequencies; zero entries are never stored."""
+    """Sparse concept frequencies, each at least 1, since a stored zero
+    would count as presence downstream; `map_document` wraps its own dict."""
 
     counts: dict[str, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "counts", {c: n for c, n in self.counts.items() if n}
-        )
-        if any(n < 0 for n in self.counts.values()):
-            raise OntoclassError("negative concept frequency")
+        if min(self.counts.values(), default=1) < 1:
+            raise OntoclassError("concept frequency below 1")
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -40,7 +38,8 @@ class HybridVector:
 
     Under AddConcept and for stems, `term_part` is the term vector's own
     `counts` dict, not a copy: both are frozen values, and nothing
-    mutates either dict.
+    mutates either dict. `concept_part` wraps `map_document`'s own counts
+    dict, each count at least 1.
     """
 
     doc_id: str
@@ -59,7 +58,7 @@ def match_phrases(
     term_vector: TermVector,
     ontology: Ontology,
     disamb: str = ExperimentConfig.disambiguation,
-) -> tuple[ConceptVector, set[str]]:
+) -> tuple[dict[str, int], set[str]]:
     """Find concept matches in a stem sequence.
 
     Matching scans left to right taking the longest indexed window at
@@ -93,26 +92,26 @@ def match_phrases(
                 break
         else:
             i += 1
-    return ConceptVector(counts), consumed
+    return counts, consumed
 
 
 def enrich_hyperonyms(
-    concepts: ConceptVector,
+    counts: Mapping[str, int],
     ontology: Ontology,
     variant: str = ExperimentConfig.hyperonym_variant,
-) -> ConceptVector:
+) -> dict[str, int]:
     """Propagate concept frequencies one hierarchy level upward.
 
     Every parent receives the summed pre-enrichment frequencies of its
     direct children. The default keeps each concept's own frequency and
     adds the children's; the "hyponyms-only" variant replaces it with the
-    children's sum alone. Parents absent from the input vector enter it
-    when their children carry frequency.
+    children's sum alone. Parents absent from `counts` enter the returned
+    dict when their children carry frequency; `counts` is left unchanged.
     """
     if variant not in HYPERONYM_VARIANTS:
         raise OntoclassError(f"unknown hyperonym variant {variant!r}")
     from_children: dict[str, int] = {}
-    for cid, n in concepts.counts.items():
+    for cid, n in counts.items():
         if cid not in ontology.parents:
             raise OntologyError(f"unknown concept id {cid!r}")
         for parent in ontology.parents[cid]:
@@ -120,10 +119,10 @@ def enrich_hyperonyms(
     if variant == "hyponyms-only":
         merged = from_children
     else:
-        merged = dict(concepts.counts)
+        merged = dict(counts)
         for cid, n in from_children.items():
             merged[cid] = merged.get(cid, 0) + n
-    return ConceptVector(merged)
+    return merged
 
 
 def map_document(
@@ -142,10 +141,7 @@ def map_document(
     annotation counts once, and is keyed with the thesaurus's own
     stoplist.
     """
-    concept_vec, consumed = match_phrases(
-        term_vector, ontology, config.disambiguation
-    )
-    counts = dict(concept_vec.counts)
+    counts, consumed = match_phrases(term_vector, ontology, config.disambiguation)
 
     if config.use_mesh_annotations:
         for term in mesh_terms:
@@ -154,12 +150,9 @@ def map_document(
             )
             for cid in _senses(candidates, config.disambiguation):
                 counts[cid] = counts.get(cid, 0) + 1
-    concept_vec = ConceptVector(counts)
 
     if config.representation == "concepts_hyperonyms":
-        concept_vec = enrich_hyperonyms(
-            concept_vec, ontology, config.hyperonym_variant
-        )
+        counts = enrich_hyperonyms(counts, ontology, config.hyperonym_variant)
 
     if config.strategy == "AddConcept":
         term_part = term_vector.counts
@@ -172,7 +165,7 @@ def map_document(
     return HybridVector(
         doc_id=term_vector.doc_id,
         term_part=term_part,
-        concept_part=concept_vec,
+        concept_part=ConceptVector(counts),
         labels=term_vector.labels,
     )
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import json
 
 import pytest
 
@@ -76,6 +78,29 @@ def workspace(tmp_path):
 
 def run(workspace, *argv, config="exp.ini"):
     return main([argv[0], "--config", str(workspace / config), *argv[1:]])
+
+
+def multilabel_jsonl(tmp_path, policy):
+    """60 self-labeled jsonl documents, labeled [A], [B] or, every third,
+    [A, C], with a stems config under `policy` and no corpus.categories."""
+    words = {"A": "kardol", "B": "moxart", "C": "fenwip"}
+    records = [{"_meta": {"categories": ["A", "B", "C"], "dropped": []}}]
+    for i in range(60):
+        labels = (["A"], ["B"], ["A", "C"])[i % 3]
+        text = " ".join(words[lab] for lab in labels)
+        records.append({"doc_id": f"d{i}", "title": text,
+                        "abstract": f"patient {text} case{i}", "labels": labels})
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (tmp_path / "exp.ini").write_text(
+        "[corpus]\npath = corpus.jsonl\nformat = jsonl\n"
+        f"label_policy = {policy}\n"
+        "[mapping]\nrepresentation = stems\n"
+        "[classify]\nknn_k = 1\n"
+        "[evaluate]\nn_folds = 3\n"
+        "[cli]\noutput_dir = out\n",
+        encoding="utf-8",
+    )
 
 
 class TestSubcommands:
@@ -174,6 +199,21 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error [report]")
         assert "run evaluate first" in err
+
+    def test_multilabel_jsonl_duplicates_under_duplicate_policy(self, tmp_path):
+        # every [A, C] document also runs as a C clone, so C is tested
+        multilabel_jsonl(tmp_path, "duplicate")
+        assert run(tmp_path, "evaluate") == 0
+        with open(tmp_path / "out" / "report.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh
+                                       if not line.startswith("#")))
+        pooled = {r["category"]: r for r in rows if r["fold"] == "pooled"}
+        assert [int(pooled[c]["tp"]) + int(pooled[c]["fn"])
+                for c in "ABC"] == [40, 20, 20]
+        cache = tmp_path / "cache.jsonl"
+        assert run(tmp_path, "ingest", "--out", str(cache)) == 0
+        cached = cache.read_text(encoding="utf-8")
+        assert cached.count('::2"') == 20
 
     def test_category_subset_applies_to_textdir_and_its_cache(self, tmp_path):
         for cat, marker in (("A", "kardol"), ("B", "moxart"), ("C", "fenwip")):
@@ -407,6 +447,17 @@ class TestExitCodes:
         assert err == ("config error: corpus.categories: "
                        "no document labeled 'Lung Disease'\n")
         assert not (workspace / "out" / "report.csv").exists()
+
+    def test_multilabel_jsonl_under_first_label_exits_2_naming_category(
+        self, tmp_path, capsys
+    ):
+        # C is only ever a second label, so first-label leaves it empty
+        multilabel_jsonl(tmp_path, "first-label")
+        assert run(tmp_path, "evaluate") == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: corpus.categories: "
+                       "no document labeled 'C'\n")
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_env_var_supplies_config(self, workspace, monkeypatch, capsys):
         monkeypatch.setenv(CONFIG_ENV, str(workspace / "exp.ini"))

@@ -863,6 +863,51 @@ class TestRowSliceEquivalence:
             select_top_k(vecs, k=2, counts=reversed_columns)
 
 
+def shuffle_rows(counts, rnd):
+    """The count matrix with each row's entries in a random order."""
+    x = counts.values
+    indices, data = x.indices.copy(), x.data.copy()
+    for start, end in zip(x.indptr[:-1].tolist(), x.indptr[1:].tolist()):
+        order = list(range(start, end))
+        rnd.shuffle(order)
+        indices[start:end], data[start:end] = x.indices[order], x.data[order]
+    values = sparse.csr_matrix((data, indices, x.indptr.copy()), shape=x.shape)
+    return WeightedMatrix(doc_ids=counts.doc_ids, descriptors=counts.descriptors,
+                          values=values, labels=counts.labels)
+
+
+class TestRowEntryOrder:
+    """No score or weight depends on the order of the entries within a
+    count row: selection reads which columns a row holds, and
+    `build_matrix` orders each row by selected column before any sum."""
+
+    @given(docs=_docs, k=st.integers(1, len(_POOL) + 3),
+           explicit=st.booleans(), rnd=st.randoms(use_true_random=False))
+    def test_permuted_rows_give_the_same_bits(self, docs, k, explicit, rnd):
+        vecs = [
+            hv(f"d{i}", terms, concepts, label="WXYZ"[cat])
+            for i, (cat, terms, concepts) in enumerate(docs)
+        ]
+        categories = ("Z", "X", "W", "Y") if explicit else None
+        if not explicit:
+            assume(len({cat for cat, _, _ in docs}) >= 2)
+        counts = count_matrix(vecs)
+        shuffled = shuffle_rows(counts, rnd)
+        want = select_top_k(vecs, k=k, categories=categories, counts=counts)
+        got = select_top_k(vecs, k=k, categories=categories, counts=shuffled)
+        assert got.selected == want.selected
+        assert got.descriptors == want.descriptors
+        assert got.df == want.df
+        assert (hex_items(got.per_category_scores)
+                == hex_items(want.per_category_scores))
+        for weighting in ("tfidf", "tf", "binary"):
+            a = build_matrix(shuffled, want, weighting=weighting).values
+            b = build_matrix(counts, want, weighting=weighting).values
+            assert a.indptr.tobytes() == b.indptr.tobytes()
+            assert a.indices.tobytes() == b.indices.tobytes()
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestScoreTableView:
     def space_and_reference(self):
         train = marker_fixture()

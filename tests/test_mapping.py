@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ontoclass.config import ExperimentConfig
+from ontoclass.config import HYPERONYM_VARIANTS, ExperimentConfig
 from ontoclass.errors import ConfigError, OntoclassError, OntologyError
 from ontoclass.mapping import (
     DISAMBIGUATIONS,
@@ -66,26 +66,26 @@ class TestMatchPhrases:
     def test_synonyms_merge_frequencies(self):
         onto = appendicitis_ontology()
         concepts, consumed = match_phrases(doc_vector(FIGURE_TEXT), onto)
-        assert concepts.counts == {"D064": 3}
+        assert concepts == {"D064": 3}
         assert consumed == {"append", "appendic"}
 
     def test_ambiguous_stem_all_concepts(self):
         onto = cold_ontology()
         vec = doc_vector("cold cold cold cold")
         concepts, consumed = match_phrases(vec, onto, "AllConcepts")
-        assert concepts.counts == {"C001": 4, "C002": 4}
+        assert concepts == {"C001": 4, "C002": 4}
         assert consumed == {"cold"}
 
     def test_ambiguous_stem_first_concept(self):
         onto = cold_ontology()
         vec = doc_vector("cold cold cold cold")
         concepts, _ = match_phrases(vec, onto, "FirstConcept")
-        assert concepts.counts == {"C001": 4}
+        assert concepts == {"C001": 4}
 
     def test_no_match_is_empty(self):
         onto = appendicitis_ontology()
         concepts, consumed = match_phrases(doc_vector("zebra sightings"), onto)
-        assert concepts.counts == {}
+        assert concepts == {}
         assert consumed == set()
 
     def test_longest_window_wins(self):
@@ -96,7 +96,7 @@ class TestMatchPhrases:
         onto = build_ontology(rows, STOP)
         vec = doc_vector("appendiceal inflammation persists")
         concepts, consumed = match_phrases(vec, onto)
-        assert concepts.counts == {"P1": 1}
+        assert concepts == {"P1": 1}
         assert consumed == {"appendic", "inflamm"}
 
     def test_windows_do_not_overlap(self):
@@ -109,14 +109,14 @@ class TestMatchPhrases:
         onto = build_ontology(rows, STOP)
         vec = doc_vector("appendiceal inflammation inflammation")
         concepts, _ = match_phrases(vec, onto)
-        assert concepts.counts == {"P1": 1, "P2": 1}
+        assert concepts == {"P1": 1, "P2": 1}
 
     def test_three_stem_window(self):
         rows = [("Q1", "acute bacterial myocarditis", ["C03"], [])]
         onto = build_ontology(rows, STOP)
         vec = doc_vector("acute bacterial myocarditis confirmed")
         concepts, _ = match_phrases(vec, onto)
-        assert concepts.counts == {"Q1": 1}
+        assert concepts == {"Q1": 1}
 
     def test_unknown_disambiguation_rejected(self):
         onto = appendicitis_ontology()
@@ -182,7 +182,7 @@ class TestMatchPhrasesEquivalence:
         vec = TermVector(doc_id="d", stems=tuple(words))
         concepts, consumed = match_phrases(vec, onto, disamb)
         ref_counts, ref_consumed = match_phrases_reference(vec, onto, disamb)
-        assert list(concepts.counts.items()) == list(ref_counts.items())
+        assert list(concepts.items()) == list(ref_counts.items())
         assert consumed == ref_consumed
 
 
@@ -214,7 +214,7 @@ class TestMatchPhrasesWork:
         vec = doc_vector("zebra sightings reported near rivers daily")
         assert len(vec.stems) == 6
         concepts, consumed = match_phrases(vec, onto)
-        assert concepts.counts == {} and consumed == set()
+        assert concepts == {} and consumed == set()
         assert index.probes <= len(vec.stems)
 
     def test_only_the_widths_a_stem_opens_are_probed(self):
@@ -227,7 +227,7 @@ class TestMatchPhrasesWork:
         concepts, _ = match_phrases(
             doc_vector("appendiceal inflammation persists"), onto
         )
-        assert concepts.counts == {"P1": 1}
+        assert concepts == {"P1": 1}
         assert index.probes == 1
 
 
@@ -310,50 +310,55 @@ class TestMapDocument:
 class TestHyperonyms:
     def test_parent_gains_children_frequencies(self):
         onto = chain_ontology()
-        out = enrich_hyperonyms(ConceptVector({"A": 1, "B": 2, "C": 1}), onto)
-        assert out.counts == {"A": 4, "B": 2, "C": 1}
+        out = enrich_hyperonyms({"A": 1, "B": 2, "C": 1}, onto)
+        assert out == {"A": 4, "B": 2, "C": 1}
 
     def test_leaf_only_vector_is_fixed_point(self):
         onto = chain_ontology()
-        out = enrich_hyperonyms(ConceptVector({"B": 2, "C": 5}), onto)
-        assert out.counts["B"] == 2
-        assert out.counts["C"] == 5
+        out = enrich_hyperonyms({"B": 2, "C": 5}, onto)
+        assert out["B"] == 2
+        assert out["C"] == 5
 
     def test_silent_parent_enters_vector(self):
         onto = chain_ontology()
-        out = enrich_hyperonyms(ConceptVector({"B": 2}), onto)
-        assert out.counts == {"A": 2, "B": 2}
+        out = enrich_hyperonyms({"B": 2}, onto)
+        assert out == {"A": 2, "B": 2}
 
     def test_pointwise_non_decreasing(self):
         onto = chain_ontology()
-        before = ConceptVector({"A": 1, "B": 2, "C": 1})
+        before = {"A": 1, "B": 2, "C": 1}
         after = enrich_hyperonyms(before, onto)
-        for cid, n in before.counts.items():
-            assert after.counts.get(cid, 0) >= n
+        for cid, n in before.items():
+            assert after.get(cid, 0) >= n
 
     def test_not_idempotent(self):
         onto = chain_ontology()
-        once = enrich_hyperonyms(ConceptVector({"A": 1, "B": 2, "C": 1}), onto)
+        once = enrich_hyperonyms({"A": 1, "B": 2, "C": 1}, onto)
         twice = enrich_hyperonyms(once, onto)
-        assert twice.counts != once.counts
-        assert twice.counts["A"] == 7
+        assert twice != once
+        assert twice["A"] == 7
 
     def test_hyponyms_only_variant_discards_own_frequency(self):
         onto = chain_ontology()
-        out = enrich_hyperonyms(
-            ConceptVector({"A": 1, "B": 2, "C": 1}), onto, "hyponyms-only"
-        )
-        assert out.counts == {"A": 3}
+        out = enrich_hyperonyms({"A": 1, "B": 2, "C": 1}, onto, "hyponyms-only")
+        assert out == {"A": 3}
+
+    @pytest.mark.parametrize("variant", HYPERONYM_VARIANTS)
+    def test_input_counts_left_unchanged(self, variant):
+        counts = {"A": 1, "B": 2, "C": 1}
+        out = enrich_hyperonyms(counts, chain_ontology(), variant)
+        assert counts == {"A": 1, "B": 2, "C": 1}
+        assert out is not counts
 
     def test_unknown_concept_rejected(self):
         onto = chain_ontology()
         with pytest.raises(OntologyError):
-            enrich_hyperonyms(ConceptVector({"ZZZ": 1}), onto)
+            enrich_hyperonyms({"ZZZ": 1}, onto)
 
     def test_unknown_variant_rejected(self):
         onto = chain_ontology()
         with pytest.raises(OntoclassError):
-            enrich_hyperonyms(ConceptVector({"B": 1}), onto, "transitive")
+            enrich_hyperonyms({"B": 1}, onto, "transitive")
 
     def test_map_document_applies_enrichment(self):
         onto = chain_ontology()
@@ -439,8 +444,10 @@ class TestMapCorpus:
 
 
 class TestVectorTypes:
-    def test_concept_vector_drops_zeros(self):
-        assert ConceptVector({"A": 0, "B": 2}).counts == {"B": 2}
+    def test_concept_vector_rejects_zero(self):
+        # a stored zero would count as a present descriptor downstream
+        with pytest.raises(OntoclassError):
+            ConceptVector({"A": 0, "B": 2})
 
     def test_concept_vector_rejects_negative(self):
         with pytest.raises(OntoclassError):
