@@ -50,6 +50,11 @@ def _require_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _load_labeled_corpus(config: ExperimentConfig):
+    """The configured corpus, labeled by the label map when one is set,
+    else by its own labels when it has a category list (`textdir`
+    subdirectories, a `jsonl` `_meta`). Either way `assign_labels`
+    resolves them, dropping a document left with no label; a corpus with
+    neither stays unlabeled."""
     path = config.resolve(config.corpus_path)
     if config.corpus_format == "ohsumed":
         corpus = load_ohsumed(path)
@@ -59,23 +64,14 @@ def _load_labeled_corpus(config: ExperimentConfig):
         corpus = parse_textdir(path)
     if config.label_map:
         label_map = load_label_map(config.resolve(config.label_map))
-        corpus = assign_labels(
-            corpus,
-            label_map,
-            categories=config.categories or None,
-            policy=config.label_policy,
-        )
-    elif config.corpus_format != "ohsumed" and (
-            config.categories or any(len(d.labels) > 1 for d in corpus.documents)):
-        # textdir and jsonl documents carry their own labels; several on
-        # one document are resolved per label_policy, as a label map's are
-        own_labels = {d.doc_id: d.labels for d in corpus.documents if d.labels}
-        corpus = assign_labels(
-            corpus, own_labels,
-            categories=config.categories or corpus.categories,
-            policy=config.label_policy,
-        )
-    return corpus
+        categories = config.categories or None
+    elif corpus.categories:
+        label_map = {d.doc_id: d.labels for d in corpus.documents if d.labels}
+        categories = config.categories or corpus.categories
+    else:
+        return corpus
+    return assign_labels(corpus, label_map, categories=categories,
+                         policy=config.label_policy)
 
 
 def _load_ontology(config: ExperimentConfig):
@@ -86,9 +82,10 @@ def _load_ontology(config: ExperimentConfig):
     return load_ontology(path, stopwords)
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
+def _out_dir(config: ExperimentConfig, create: bool = True) -> Path:
     out = config.resolve(config.output_dir) or config.base_dir
-    out.mkdir(parents=True, exist_ok=True)
+    if create:
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -182,7 +179,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     config = _require_config(args)
-    path = _out_dir(config) / "report.txt"
+    path = _out_dir(config, create=False) / "report.txt"
     if not path.exists():
         raise OntoclassError(f"no report at {path}; run evaluate first")
     with open_utf8(path) as fh:

@@ -27,7 +27,6 @@ from .features import (
     WeightedMatrix,
     build_matrix,
     count_matrix,
-    require_labels,
     select_top_k,
 )
 from .mapping import HybridVector, map_corpus, stems_only
@@ -138,7 +137,8 @@ def run_experiment(
     threads: int = 1,
     fit_recorder: FitRecorder | None = None,
 ) -> EvalReport:
-    """Cross-validate the configured pipeline on a labeled corpus.
+    """Cross-validate the configured pipeline on a labeled corpus: each
+    document carries exactly one label, as `assign_labels` leaves it.
 
     The documents are counted once, into one `count_matrix`; labels and
     fold membership are read from it, and each fold takes its rows. Every
@@ -154,12 +154,13 @@ def run_experiment(
     """
     if not corpus.documents:
         raise OntoclassError("empty corpus")
+    for doc in corpus.documents:
+        if len(doc.labels) != 1:
+            labels = f"{len(doc.labels)} labels" if doc.labels else "no label"
+            raise OntoclassError(f"document {doc.doc_id!r} has {labels}")
     categories = corpus.categories
-    if not categories:
-        raise OntoclassError("corpus has no category list")
     vectors = representation_vectors(corpus, ontology, config)
     counts = count_matrix(vectors)
-    require_labels(counts)
 
     n_folds = config.n_folds
     if n_folds == 1:

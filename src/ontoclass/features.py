@@ -85,20 +85,14 @@ class WeightedMatrix:
             raise OntoclassError("negative weight in matrix")
 
 
-def require_labels(counts: WeightedMatrix) -> None:
-    """Reject a count row with no label, which `count_matrix` marks ""."""
-    for doc_id, label in zip(counts.doc_ids, counts.labels):
-        if not label:
-            raise OntoclassError(f"document {doc_id!r} has no label")
-
-
 def count_matrix(vectors: Sequence[HybridVector]) -> WeightedMatrix:
     """Raw descriptor counts, one row per document.
 
     Columns are in descriptor (string) order; each row holds its entries
     in the vector's own order, stems before concepts, and no score or
-    weight downstream depends on that order. An unlabeled document gets
-    the label "".
+    weight downstream depends on that order. A row's label is its
+    document's first; a document with none, which only `ontoclass map`
+    over an unlabeled corpus counts, gets the label "".
     """
     stems: set[str] = set()
     concepts: set[str] = set()
@@ -298,7 +292,9 @@ def select_top_k(
     if recorder is not None:
         for doc_id in counts.doc_ids:
             recorder(doc_id)
-    require_labels(counts)
+    if "" in counts.labels:
+        doc_id = counts.doc_ids[counts.labels.index("")]
+        raise OntoclassError(f"document {doc_id!r} has no label")
     cats = tuple(dict.fromkeys(counts.labels) if categories is None else categories)
     if len(cats) < 2:
         raise OntoclassError("feature selection needs at least 2 categories")
@@ -386,7 +382,6 @@ def build_matrix(
     """
     if weighting not in WEIGHTINGS:
         raise OntoclassError(f"unknown weighting {weighting!r}")
-    require_labels(counts)
     n_docs, n_cols = len(counts.doc_ids), len(feature_space.descriptors)
     # each count column's place among the selected descriptors, or -1
     target = np.fromiter(

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -103,6 +104,51 @@ def multilabel_jsonl(tmp_path, policy):
     )
 
 
+def self_labeled_corpus(root, fmt, unlabeled=True, two_labels=False):
+    """Four documents in each of A and B under `root`, with a stems config
+    and no label map: a `textdir` tree, or a `jsonl` corpus with a
+    `_meta` category list. `unlabeled` adds a document with no label, a
+    file at the textdir root or a `"labels": []` record. `two_labels`
+    gives one jsonl record the labels A and B; a textdir file has one
+    label, so there it lists `categories = A;B` instead."""
+    root.mkdir()
+    docs = [(f"{cat}/{i}", f"{marker} note", f"patient {marker} case{i}", [cat])
+            for cat, marker in (("A", "kardol"), ("B", "moxart"))
+            for i in range(4)]
+    if unlabeled:
+        docs.append(("root", "kardol", "", []))
+    ini = ("[corpus]\npath = docs\nformat = textdir\n"
+           "[mapping]\nrepresentation = stems\n"
+           "[classify]\nknn_k = 1\n"
+           "[evaluate]\nn_folds = 2\n"
+           "[cli]\noutput_dir = out\n")
+    if fmt == "textdir":
+        for doc_id, title, abstract, _ in docs:
+            path = root / "docs" / f"{doc_id}.txt"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f"{title}\n{abstract}\n", encoding="utf-8")
+        if two_labels:
+            ini = ini.replace("format = textdir\n",
+                              "format = textdir\ncategories = A;B\n")
+    else:
+        if two_labels:
+            docs[0][3].append("B")
+        records = [{"_meta": {"categories": ["A", "B"], "dropped": []}}]
+        records += [{"doc_id": d, "title": t, "abstract": a, "labels": labels}
+                    for d, t, a, labels in docs]
+        (root / "docs.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        ini = ini.replace("path = docs\nformat = textdir",
+                          "path = docs.jsonl\nformat = jsonl")
+    (root / "exp.ini").write_text(ini, encoding="utf-8")
+
+
+def report_rows(root):
+    return [line for line in (root / "out" / "report.csv")
+            .read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+
+
 class TestSubcommands:
     def test_ingest(self, workspace, capsys):
         assert run(workspace, "ingest") == 0
@@ -199,6 +245,7 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error [report]")
         assert "run evaluate first" in err
+        assert not (workspace / "out").exists()
 
     def test_multilabel_jsonl_duplicates_under_duplicate_policy(self, tmp_path):
         # every [A, C] document also runs as a C clone, so C is tested
@@ -245,6 +292,33 @@ class TestSubcommands:
         assert {line.split(",")[1] for line in rows["jsonl"][1:]} == {
             "A", "B", "AvG"}
         assert rows["jsonl"] == rows["textdir"]
+
+
+    def test_unlabeled_document_is_dropped_in_every_format(
+        self, tmp_path, caplog, capsys
+    ):
+        # the rule once depended on the other documents: a jsonl record
+        # with no label ended the run, unless another carried two labels
+        self_labeled_corpus(tmp_path / "plain", "jsonl", unlabeled=False)
+        assert run(tmp_path / "plain", "evaluate") == 0
+        want = report_rows(tmp_path / "plain")
+        labeled = [f"{cat}/{i}" for cat in "AB" for i in range(4)]
+        for fmt in ("textdir", "jsonl"):
+            for two_labels in (False, True):
+                root = tmp_path / f"{fmt}-{two_labels}"
+                self_labeled_corpus(root, fmt, two_labels=two_labels)
+                for command in ("ingest", "map", "evaluate"):
+                    caplog.clear()
+                    with caplog.at_level(logging.WARNING):
+                        assert run(root, command) == 0, (fmt, two_labels, command)
+                    assert [r.getMessage() for r in caplog.records] == [
+                        "dropped 1 document(s) with no label in the category subset"]
+                assert "8 documents, 2 categories, 1 dropped" in capsys.readouterr().out
+                cache = (root / "out" / "corpus.jsonl").read_text(encoding="utf-8")
+                assert '"dropped": ["root"]' in cache
+                assert (root / "out" / "vectors.mtx.rows").read_text(
+                    encoding="utf-8").split() == labeled
+                assert report_rows(root) == want, (fmt, two_labels)
 
 
 class TestConfigPaths:
@@ -360,36 +434,6 @@ class TestExitCodes:
         assert err.startswith("error [ontology-check] ParseError:")
         assert "onto.tsv: not UTF-8 (byte 0xe9)" in err
         assert len(err.splitlines()) == 1
-
-    def test_unlabeled_document_exits_1_naming_it(self, tmp_path, capsys):
-        # a file directly under a textdir root has no label
-        for cat, marker in (("A", "kardol"), ("B", "moxart")):
-            (tmp_path / "docs" / cat).mkdir(parents=True)
-            for i in range(3):
-                (tmp_path / "docs" / cat / f"{i}.txt").write_text(
-                    f"{marker} note\npatient {marker}\n", encoding="utf-8")
-        (tmp_path / "docs" / "root.txt").write_text("kardol\n", encoding="utf-8")
-        (tmp_path / "exp.ini").write_text(
-            "[corpus]\npath = docs\nformat = textdir\n"
-            "[mapping]\nrepresentation = stems\n"
-            "[evaluate]\nn_folds = 2\n"
-            "[cli]\noutput_dir = out\n",
-            encoding="utf-8",
-        )
-        assert run(tmp_path, "ingest") == 0
-        ini = (tmp_path / "exp.ini").read_text(encoding="utf-8")
-        (tmp_path / "cached.ini").write_text(
-            ini.replace("path = docs\nformat = textdir",
-                        "path = out/corpus.jsonl\nformat = jsonl"),
-            encoding="utf-8",
-        )
-        for config in ("exp.ini", "cached.ini"):
-            capsys.readouterr()
-            assert run(tmp_path, "evaluate", config=config) == 1
-            err = capsys.readouterr().err
-            assert err == ("error [evaluate] OntoclassError: "
-                           "document 'root' has no label\n")
-        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_non_utf8_report_exits_1_naming_file(self, workspace, capsys):
         assert run(workspace, "evaluate") == 0

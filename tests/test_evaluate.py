@@ -233,6 +233,34 @@ class TestRunExperiment:
         assert not isinstance(err.value, ExperimentError)
         assert caplog.text == ""
 
+    def test_unlabeled_document_rejected_before_preprocessing(self, monkeypatch):
+        def preprocess_work(*args):
+            raise AssertionError("preprocessed before the label check")
+
+        monkeypatch.setattr(evaluate, "preprocess_corpus", preprocess_work)
+        corpus = separable_corpus()
+        unlabeled = Document(doc_id="root", title="kardol report")
+        corpus = Corpus(documents=(unlabeled,) + corpus.documents,
+                        categories=corpus.categories)
+        with pytest.raises(OntoclassError, match="^document 'root' has no label$"):
+            run_experiment(corpus, None, stems_config())
+
+    def test_multilabel_document_rejected_naming_it(self, monkeypatch):
+        # count_matrix would take its first label without a word
+        def preprocess_work(*args):
+            raise AssertionError("preprocessed before the label check")
+
+        monkeypatch.setattr(evaluate, "preprocess_corpus", preprocess_work)
+        corpus = separable_corpus()
+        twice = Document(doc_id="twice", title="kardol moxart report",
+                         labels=("Cardio", "Renal"))
+        corpus = Corpus(documents=corpus.documents + (twice,),
+                        categories=corpus.categories)
+        with pytest.raises(OntoclassError) as err:
+            run_experiment(corpus, None, stems_config())
+        assert str(err.value) == "document 'twice' has 2 labels"
+        assert not isinstance(err.value, ExperimentError)
+
     def test_empty_corpus_rejected(self):
         empty = Corpus(documents=(), categories=("A",))
         with pytest.raises(OntoclassError):
@@ -243,7 +271,7 @@ class TestRunExperiment:
             Document(doc_id=d.doc_id, title=d.title, abstract=d.abstract)
             for d in separable_corpus().documents
         ))
-        with pytest.raises(OntoclassError, match="corpus has no category list"):
+        with pytest.raises(OntoclassError, match="has no label"):
             run_experiment(bare, None, stems_config())
 
     def test_concept_representation_requires_ontology(self):

@@ -644,11 +644,6 @@ class TestBuildMatrix:
         with pytest.raises(OntoclassError):
             build_matrix(count_matrix(vecs), space, weighting="idf")
 
-    def test_unlabeled_document_rejected(self):
-        vecs, space = small_matrix_fixture()
-        with pytest.raises(OntoclassError, match="'u1' has no label"):
-            build_matrix(count_matrix(vecs + [hv("u1", {"a": 1})]), space)
-
     def test_rows_store_entries_in_descending_column_order(self):
         # the order in which KNN's q @ train.T sums each dot product; a
         # change to it can move report.csv
