@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Mapping
 
@@ -310,8 +310,11 @@ def c45_train(
     matrix: WeightedMatrix, config: ExperimentConfig = ExperimentConfig()
 ) -> TreeNode:
     """Grow a binary decision tree no deeper than `tree_max_depth` (0 =
-    unlimited) with at least `tree_min_leaf` rows a leaf, and prune it
-    when `tree_prune` is set."""
+    unlimited) with at least `tree_min_leaf` rows a leaf.
+
+    With `tree_prune`, pessimistic pruning runs as each subtree closes:
+    once both children have returned, a node collapses to its leaf unless
+    the leaf's estimated errors exceed its children's by more than 0.1."""
     n = matrix.values.shape[0]
     if n == 0:
         raise OntoclassError("empty training matrix")
@@ -327,30 +330,35 @@ def c45_train(
         bc = np.bincount(y[rows], minlength=len(cat_names))
         return {cat_names[i]: int(bc[i]) for i in range(len(cat_names)) if bc[i]}
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+    def grow(rows: np.ndarray, depth: int) -> tuple[TreeNode, float]:
+        """The subtree over `rows` and its estimated errors."""
         counts = counts_dict(rows)
         cat = _majority_class(counts)
+        e = rows.size - counts[cat]
+        leaf = TreeNode(class_counts=counts, category=cat)
+        leaf_errors = e + _extra_errors(rows.size, e, PRUNE_CONFIDENCE)
         if len(counts) == 1 or 0 < config.tree_max_depth <= depth:
-            return TreeNode(class_counts=counts, category=cat)
+            return leaf, leaf_errors
         found = _best_split(x, y, rows, len(cat_names), config.tree_min_leaf)
         if found is None:
-            return TreeNode(class_counts=counts, category=cat)
+            return leaf, leaf_errors
         col, thr = found
         mask = goes_left(rows, col, thr)
+        left, left_errors = grow(rows[mask], depth + 1)
+        right, right_errors = grow(rows[~mask], depth + 1)
+        if config.tree_prune and leaf_errors <= left_errors + right_errors + 0.1:
+            return leaf, leaf_errors
         return TreeNode(
             class_counts=counts,
             category=cat,
             descriptor=matrix.descriptors[col],
             col=col,
             threshold=thr,
-            left=grow(rows[mask], depth + 1),
-            right=grow(rows[~mask], depth + 1),
-        )
+            left=left,
+            right=right,
+        ), left_errors + right_errors
 
-    tree = grow(np.arange(n), 0)
-    if config.tree_prune:
-        tree = prune_tree(tree)
-    return tree
+    return grow(np.arange(n), 0)[0]
 
 
 def _extra_errors(n: int, e: int, cf: float) -> float:
@@ -373,30 +381,9 @@ def _extra_errors(n: int, e: int, cf: float) -> float:
     return pr * n - e
 
 
-def prune_tree(node: TreeNode, confidence: float = PRUNE_CONFIDENCE) -> TreeNode:
-    """Bottom-up subtree replacement when a leaf would not estimate worse."""
-    return _prune(node, confidence)[0]
-
-
-def _prune(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
-    """Prune a subtree; return it with its estimated errors, so that no
-    subtree is walked again to estimate an ancestor."""
-    n = sum(node.class_counts.values())
-    e = n - node.class_counts.get(node.category, 0)
-    leaf_errors = e + _extra_errors(n, e, cf)
-    if node.is_leaf:
-        return node, leaf_errors
-    left, left_errors = _prune(node.left, cf)
-    right, right_errors = _prune(node.right, cf)
-    subtree_errors = left_errors + right_errors
-    if leaf_errors <= subtree_errors + 0.1:
-        return TreeNode(class_counts=node.class_counts,
-                        category=node.category), leaf_errors
-    return replace(node, left=left, right=right), subtree_errors
-
-
 def c45_predict_all(tree: TreeNode, queries: WeightedMatrix) -> list[str]:
-    """Classify each row of the fold's test matrix; rows descend together."""
+    """Classify each row of the fold's test matrix; rows descend together.
+    Each split that rows reach must find its descriptor at its column."""
     q = sparse.csc_matrix(queries.values, dtype=np.float64, copy=True)
     q.sum_duplicates()
     goes_left = _router(q)
@@ -407,6 +394,12 @@ def c45_predict_all(tree: TreeNode, queries: WeightedMatrix) -> list[str]:
         if node.is_leaf:
             out[rows] = node.category
         elif rows.size:
+            if not (0 <= node.col < len(queries.descriptors)
+                    and queries.descriptors[node.col] == node.descriptor):
+                raise OntoclassError(
+                    f"queries do not hold the tree's split {node.descriptor!r} "
+                    f"at column {node.col}"
+                )
             left = goes_left(rows, node.col, node.threshold)
             stack.append((node.left, rows[left]))
             stack.append((node.right, rows[~left]))

@@ -115,15 +115,17 @@ def representation_vectors(
     ontology: Ontology | None,
     config: ExperimentConfig,
 ) -> list[HybridVector]:
-    """Preprocess the corpus and map it to the configured representation."""
-    stopwords = load_stoplist(config.resolve(config.stoplist))
-    term_vectors = preprocess_corpus(corpus, stopwords)
+    """Preprocess the corpus and map it to the configured representation.
+    Stems drop the words on `config.stoplist`; concept representations
+    drop those on the ontology's own stoplist, which keyed its terms."""
     if config.representation == "stems":
-        return [stems_only(tv) for tv in term_vectors]
+        stopwords = load_stoplist(config.resolve(config.stoplist))
+        return [stems_only(tv) for tv in preprocess_corpus(corpus, stopwords)]
     if ontology is None:
         raise OntoclassError(
             f"representation {config.representation!r} needs an ontology"
         )
+    term_vectors = preprocess_corpus(corpus, ontology.stopwords)
     mesh_by_doc = None
     if config.use_mesh_annotations:
         mesh_by_doc = {d.doc_id: d.mesh_annotations for d in corpus.documents}

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from ontoclass.classify import (
     c45_train,
     knn_predict_all,
     knn_train,
-    prune_tree,
 )
 from ontoclass.config import ExperimentConfig
 from ontoclass.errors import OntoclassError
@@ -472,7 +472,7 @@ class TestPruning:
         fixtures.append(make_matrix(rows, labels))
         for m in fixtures:
             unpruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
-            pruned = prune_tree(unpruned)
+            pruned = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=True))
             assert pruned.node_count() <= unpruned.node_count()
 
     def test_strong_split_survives(self):
@@ -512,6 +512,25 @@ class TestTreeDescent:
     def test_single_leaf_constant(self):
         leaf = TreeNode(class_counts={"Z": 1}, category="Z")
         assert c45_predict(leaf, [123.0, -5.0]) == "Z"
+
+    def test_queries_over_other_descriptors_rejected(self):
+        m = make_matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+                        ["A", "A", "B", "B"], descriptors=("t:a", "t:b"))
+        tree = c45_train(m, ExperimentConfig(tree_min_leaf=1, tree_prune=False))
+        assert (tree.descriptor, tree.col) == ("t:a", 0)
+        swapped = make_matrix([[0.0, 1.0], [1.0, 0.0]], ["?", "?"],
+                              descriptors=("t:b", "t:a"))
+        with pytest.raises(OntoclassError, match="t:a"):
+            c45_predict_all(tree, swapped)
+        narrow = make_matrix([[1.0]], ["?"], descriptors=("t:b",))
+        split_on_b = TreeNode(class_counts=tree.class_counts,
+                              category=tree.category, descriptor="t:b", col=1,
+                              threshold=0.5, left=tree.left, right=tree.right)
+        with pytest.raises(OntoclassError, match="t:b"):
+            c45_predict_all(split_on_b, narrow)
+        # with no query rows, no split is routed through
+        assert c45_predict_all(tree, make_matrix(np.zeros((0, 2)), [],
+                                                 ("t:b", "t:a"))) == []
 
 
 # -- dense reference: the split search as it was before it read only the
@@ -576,8 +595,8 @@ def dense_best_split(x, y, n_classes, min_leaf):
     return int(cols[best]), float(thrs[best])
 
 
-# -- reference pruning: subtree replacement as it was before the recursion
-# returned each subtree's estimate, re-walking the subtree at every node
+# -- reference pruning: subtree replacement as a second walk over the grown
+# tree, re-walking the subtree at every node; c45_train prunes as it grows
 
 def reference_estimated_errors(node, cf):
     n = sum(node.class_counts.values())
@@ -678,38 +697,32 @@ def _tree_inputs(draw):
 
 
 @st.composite
-def _unpruned_trees(draw):
-    # any class split at any node, so that a leaf's estimate and its
-    # subtree's often land within the 0.1 margin of each other
-    classes = draw(st.integers(1, 4))
-    col = iter(range(1000))
-
-    def grow(counts, depth):
-        cat = min(counts, key=lambda c: (-counts[c], c))
-        if depth == 5 or sum(counts.values()) < 2 or not draw(st.booleans()):
-            return TreeNode(class_counts=counts, category=cat)
-        left = {c: draw(st.integers(0, n)) for c, n in counts.items()}
-        right = {c: n - left[c] for c, n in counts.items() if n - left[c]}
-        left = {c: n for c, n in left.items() if n}
-        if not left or not right:
-            return TreeNode(class_counts=counts, category=cat)
-        return TreeNode(
-            class_counts=counts, category=cat, descriptor=f"t:d{depth}",
-            col=next(col), threshold=draw(st.floats(0.0, 2.0)),
-            left=grow(left, depth + 1), right=grow(right, depth + 1),
-        )
-
-    counts = {f"c{i}": draw(st.integers(1, 40)) for i in range(classes)}
-    return grow(counts, 0)
+def _prune_inputs(draw):
+    # many rows over few distinct values, so that trees reach several
+    # levels and a leaf's estimate often lands within 0.1 of its subtree's
+    n_rows = draw(st.integers(2, 40))
+    n_cols = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 4))
+    cell = st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0))
+    rows = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    labels = draw(st.lists(st.integers(0, n_classes - 1),
+                           min_size=n_rows, max_size=n_rows))
+    config = ExperimentConfig(
+        tree_min_leaf=draw(st.integers(1, 3)),
+        tree_max_depth=draw(st.sampled_from((0, 0, 2, 4))),
+        tree_prune=False,
+    )
+    return make_matrix(rows, [f"c{lab}" for lab in labels]), config
 
 
 class TestPruneEquivalence:
     @settings(max_examples=300, deadline=None)
-    @given(tree=_unpruned_trees(),
-           confidence=st.floats(1e-3, 0.5))
-    def test_matches_reference(self, tree, confidence):
-        assert_same_tree(prune_tree(tree, confidence),
-                         reference_prune_tree(tree, confidence))
+    @given(inputs=_prune_inputs())
+    def test_matches_reference(self, inputs):
+        m, unpruned = inputs
+        assert_same_tree(c45_train(m, replace(unpruned, tree_prune=True)),
+                         reference_prune_tree(c45_train(m, unpruned)))
 
 
 class TestSparseSplitEquivalence:

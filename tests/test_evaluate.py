@@ -356,6 +356,25 @@ class TestMeshAnnotations:
         )
         assert "D3" not in text_only.concept_part.counts
 
+    def test_text_and_annotations_share_the_ontology_stoplist(self):
+        # an ontology keyed with no stoplist keeps "of" in its keys, and
+        # the title must keep it too, as the annotation does
+        onto = build_ontology([("D1", "Loss of Vision", ["C01"], [])], frozenset())
+        doc = Document(doc_id="d", title="loss of vision",
+                       mesh_annotations=("Loss of Vision",))
+        config = ExperimentConfig(use_mesh_annotations=True)
+        (vector,) = representation_vectors(Corpus(documents=(doc,)), onto, config)
+        assert vector.concept_part.counts == {"D1": 2}
+
+    def test_missing_ontology_rejected_before_any_text_is_read(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("text read")
+
+        monkeypatch.setattr(evaluate, "preprocess_corpus", unread)
+        with pytest.raises(OntoclassError, match="needs an ontology"):
+            representation_vectors(self.annotated_corpus(), None,
+                                   ExperimentConfig(use_mesh_annotations=True))
+
 
 def generated_corpus(n_docs, seed=13):
     """`n_docs` documents of 120 Zipf-drawn made-up words over four
